@@ -1,5 +1,4 @@
 #include "apps/em3d.hh"
-#include <cstdlib>
 
 #include <algorithm>
 
@@ -216,7 +215,7 @@ Em3d::programSm(proc::Ctx &ctx, bool prefetch)
             for (std::int32_t n = first; n < first + count; ++n) {
                 const std::int32_t local = n - first;
                 const Addr naddr = side.shared.addr(self, local);
-                if (prefetch && getenv("EM3D_NO_WPF") == nullptr) {
+                if (prefetch) {
                     // Write-ownership of the node we are about to
                     // update (Sec. 4.1.2).
                     ctx.prefetchWrite(naddr);
@@ -224,7 +223,7 @@ Em3d::programSm(proc::Ctx &ctx, bool prefetch)
                 double v = ctx.asDouble(co_await ctx.read(naddr));
                 const std::int32_t deg = row[n + 1] - row[n];
                 for (std::int32_t k = 0; k < deg; ++k) {
-                    if (prefetch && getenv("EM3D_NO_RPF") == nullptr && k + 2 < deg)
+                    if (prefetch && k + 2 < deg)
                         ctx.prefetchRead(srcs[flat + k + 2]);
                     const double nb = ctx.asDouble(
                         co_await ctx.read(srcs[flat + k]));

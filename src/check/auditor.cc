@@ -179,7 +179,7 @@ InvariantAuditor::quiescent(Addr line, const LineState &s) const
     const NodeId home = machine_->mem().home(line);
     const coh::DirEntry *e =
         machine_->cohAt(home).debugDir().find(line);
-    if (e && (e->busy() || !e->queue.empty()))
+    if (e && (e->busy() || !e->queueEmpty()))
         return false;
     return true;
 }
@@ -273,7 +273,7 @@ InvariantAuditor::onPacketInjected(const net::Packet &pkt)
         return;
     ++cohInjected_;
 
-    const auto *m = static_cast<const coh::ProtoMsg *>(pkt.payload.get());
+    const coh::ProtoMsg *m = &pkt.proto;
     const auto &cfg = machine_->config();
     const auto got = [&](VolCat c) {
         return pkt.volBytes[static_cast<std::size_t>(c)];
@@ -475,7 +475,7 @@ InvariantAuditor::onRecallHonored(NodeId node, Addr line)
 
 void
 InvariantAuditor::onCacheFill(NodeId node, Addr line, mem::LineState st,
-                              const std::vector<std::uint64_t> &words)
+                              const mem::LineWords &words)
 {
     (void)st;
     LineState &s = ls(line);
@@ -559,7 +559,7 @@ InvariantAuditor::onCacheWrite(NodeId node, Addr a, std::uint64_t v)
 
 void
 InvariantAuditor::onPfbInstall(NodeId node, Addr line, mem::LineState st,
-                               const std::vector<std::uint64_t> &words)
+                               const mem::LineWords &words)
 {
     onCacheFill(node, line, st, words);
 }
@@ -601,7 +601,7 @@ InvariantAuditor::finalize()
         const NodeId home = machine_->mem().home(line);
         const coh::DirEntry *e =
             machine_->cohAt(home).debugDir().find(line);
-        if (e && (e->busy() || !e->queue.empty())) {
+        if (e && (e->busy() || !e->queueEmpty())) {
             std::ostringstream os;
             os << "line " << line << " still busy at its home after the"
                << " run";

@@ -115,7 +115,7 @@ class InvariantAuditor final : public Hooks
     void onPacketInjected(const net::Packet &pkt) override;
     void onPacketDelivered(const net::Packet &pkt) override;
     void onCacheFill(NodeId node, Addr line, mem::LineState st,
-                     const std::vector<std::uint64_t> &words) override;
+                     const mem::LineWords &words) override;
     void onCacheEvict(NodeId node, Addr line, bool dirty) override;
     void onCacheInvalidate(NodeId node, Addr line,
                            bool wasModified) override;
@@ -124,7 +124,7 @@ class InvariantAuditor final : public Hooks
     void onCacheRead(NodeId node, Addr a, std::uint64_t v) override;
     void onCacheWrite(NodeId node, Addr a, std::uint64_t v) override;
     void onPfbInstall(NodeId node, Addr line, mem::LineState st,
-                      const std::vector<std::uint64_t> &words) override;
+                      const mem::LineWords &words) override;
     void onPfbRemove(NodeId node, Addr line) override;
     void onProtoSend(NodeId src, NodeId dst,
                      const coh::ProtoMsg &msg) override;
@@ -156,7 +156,7 @@ class InvariantAuditor final : public Hooks
         int acksProcessed = 0;
         int stashCount = 0;
         /** Shadow copy maintained by the single-writer discipline. */
-        std::vector<std::uint64_t> shadow;
+        mem::LineWords shadow;
         bool hasShadow = false;
     };
 

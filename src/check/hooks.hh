@@ -22,6 +22,7 @@
 #include <functional>
 #include <vector>
 
+#include "mem/line_words.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -205,7 +206,7 @@ class Hooks
 
     virtual void
     onCacheFill(NodeId node, Addr line, mem::LineState st,
-                const std::vector<std::uint64_t> &words)
+                const mem::LineWords &words)
     {
         (void)node, (void)line, (void)st, (void)words;
     }
@@ -247,7 +248,7 @@ class Hooks
 
     virtual void
     onPfbInstall(NodeId node, Addr line, mem::LineState st,
-                 const std::vector<std::uint64_t> &words)
+                 const mem::LineWords &words)
     {
         (void)node, (void)line, (void)st, (void)words;
     }
@@ -430,7 +431,7 @@ class HookFanout final : public Hooks
     }
     void
     onCacheFill(NodeId node, Addr line, mem::LineState st,
-                const std::vector<std::uint64_t> &words) override
+                const mem::LineWords &words) override
     {
         checkOwner(node);
         for (Hooks *h : obs_)
@@ -475,7 +476,7 @@ class HookFanout final : public Hooks
     }
     void
     onPfbInstall(NodeId node, Addr line, mem::LineState st,
-                 const std::vector<std::uint64_t> &words) override
+                 const mem::LineWords &words) override
     {
         checkOwner(node);
         for (Hooks *h : obs_)

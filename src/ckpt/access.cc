@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,7 +33,7 @@ hxd(double d)
 }
 
 Json
-wordsJson(const std::vector<std::uint64_t> &words)
+wordsJson(std::span<const std::uint64_t> words)
 {
     Json a = Json::array();
     for (std::uint64_t w : words)
@@ -69,21 +70,21 @@ protoMsgJson(const coh::ProtoMsg &m)
 }
 
 Json
-amJson(const msg::AmMessage &m)
+amJson(const net::Packet &p)
 {
     Json o = Json::object();
-    o.set("handler", Json(static_cast<int>(m.handler)));
-    o.set("src", Json(static_cast<int>(m.src)));
-    o.set("args", wordsJson(m.args));
-    o.set("body", wordsJson(m.body));
-    o.set("bulk", Json(m.bulk));
+    o.set("handler", Json(static_cast<int>(p.am.handler)));
+    o.set("src", Json(static_cast<int>(p.am.src)));
+    o.set("args", wordsJson(p.am.args));
+    o.set("body", wordsJson(p.body));
+    o.set("bulk", Json(p.am.bulk));
     return o;
 }
 
 /**
  * Canonical content of an in-flight packet. Pointers never reach the
- * snapshot: the Packet sits inside a pending event's closure and is
- * reached through EventMeta::a, then expanded here.
+ * snapshot: the pooled Packet is reached through the pending event's
+ * EventMeta::a, then expanded here.
  */
 Json
 packetJson(const net::Packet &p)
@@ -100,11 +101,9 @@ packetJson(const net::Packet &p)
     o.set("volBytes", std::move(vols));
     o.set("countInVolume", Json(p.countInVolume));
     if (p.kind == net::PacketKind::Coherence)
-        o.set("proto",
-              protoMsgJson(static_cast<const coh::ProtoMsg &>(*p.payload)));
+        o.set("proto", protoMsgJson(p.proto));
     else if (p.kind == net::PacketKind::ActiveMessage)
-        o.set("am",
-              amJson(static_cast<const msg::AmMessage &>(*p.payload)));
+        o.set("am", amJson(p));
     return o;
 }
 
@@ -134,19 +133,6 @@ opStateJson(const proc::OpState &op)
     o.set("startLocal", hx(op.startLocal));
     o.set("stolenAtStart", hx(op.stolenAtStart));
     return o;
-}
-
-/** Sorted key list of an unordered_map (canonical iteration order). */
-template <typename Map>
-std::vector<typename Map::key_type>
-sortedKeys(const Map &m)
-{
-    std::vector<typename Map::key_type> keys;
-    keys.reserve(m.size());
-    for (const auto &kv : m)
-        keys.push_back(kv.first);
-    std::sort(keys.begin(), keys.end());
-    return keys;
 }
 
 } // namespace
@@ -285,15 +271,14 @@ Access::cachesSection(const Machine &m)
     for (const auto &n : m.nodes_) {
         const mem::Cache &c = n->cache;
         Json lines = Json::array();
-        for (std::size_t i = 0; i < c.lines_.size(); ++i) {
-            const auto &l = c.lines_[i];
-            if (!l.valid)
+        for (std::uint32_t i = 0; i < c.numSets_; ++i) {
+            if (c.states_[i] == mem::Cache::kInvalid)
                 continue;
             Json lo = Json::object();
             lo.set("set", Json(static_cast<int>(i)));
-            lo.set("line", hx(l.tag));
-            lo.set("st", Json(static_cast<int>(l.st)));
-            lo.set("words", wordsJson(l.words));
+            lo.set("line", hx(c.tags_[i]));
+            lo.set("st", Json(static_cast<int>(c.stateAt(i))));
+            lo.set("words", wordsJson(c.lineAt(i)));
             lines.push(std::move(lo));
         }
         nodes.push(std::move(lines));
@@ -332,9 +317,14 @@ Access::cohSection(const Machine &m)
         const coh::CoherenceController &cc = *n->coh;
         Json o = Json::object();
 
+        std::vector<std::pair<Addr, const coh::DirEntry *>> entries;
+        cc.dir_.forEach([&](Addr line, const coh::DirEntry &e) {
+            entries.emplace_back(line, &e);
+        });
+        std::sort(entries.begin(), entries.end());
         Json dir = Json::array();
-        for (Addr line : sortedKeys(cc.dir_.entries_)) {
-            const coh::DirEntry &e = cc.dir_.entries_.at(line);
+        for (const auto &[line, ep] : entries) {
+            const coh::DirEntry &e = *ep;
             Json eo = Json::object();
             eo.set("line", hx(line));
             eo.set("state", Json(static_cast<int>(e.state)));
@@ -355,18 +345,25 @@ Access::cohSection(const Machine &m)
                 eo.set("txn", std::move(to));
             }
             Json queue = Json::array();
-            for (const coh::ProtoMsg &q : e.queue)
+            cc.dir_.forEachQueued(e, [&](const coh::ProtoMsg &q) {
                 queue.push(protoMsgJson(q));
+            });
             eo.set("queue", std::move(queue));
             dir.push(std::move(eo));
         }
         o.set("dir", std::move(dir));
 
+        std::vector<const coh::CoherenceController::Mshr *> open(
+            cc.mshrOpen_.begin(), cc.mshrOpen_.end());
+        std::sort(open.begin(), open.end(),
+                  [](const auto *a, const auto *b) {
+                      return a->line < b->line;
+                  });
         Json mshrs = Json::array();
-        for (Addr line : sortedKeys(cc.mshrs_)) {
-            const auto &ms = cc.mshrs_.at(line);
+        for (const auto *msp : open) {
+            const auto &ms = *msp;
             Json mo = Json::object();
-            mo.set("line", hx(line));
+            mo.set("line", hx(ms.line));
             mo.set("wantExclusive", Json(ms.wantExclusive));
             mo.set("prefetchOnly", Json(ms.prefetchOnly));
             mo.set("startedAsPrefetch", Json(ms.startedAsPrefetch));
@@ -392,11 +389,16 @@ Access::cohSection(const Machine &m)
         }
         o.set("mshrs", std::move(mshrs));
 
+        std::vector<std::pair<Addr, std::uint64_t>> epochList;
+        cc.epochs_.forEach([&](Addr line, std::uint64_t epoch) {
+            epochList.emplace_back(line, epoch);
+        });
+        std::sort(epochList.begin(), epochList.end());
         Json epochs = Json::array();
-        for (Addr line : sortedKeys(cc.epochs_)) {
+        for (const auto &[line, epoch] : epochList) {
             Json eo = Json::object();
             eo.set("line", hx(line));
-            eo.set("epoch", hx(cc.epochs_.at(line)));
+            eo.set("epoch", hx(epoch));
             epochs.push(std::move(eo));
         }
         o.set("epochs", std::move(epochs));
@@ -472,8 +474,8 @@ Access::niSection(const Machine &m)
         o.set("lastHandlerDone", hx(ni.lastHandlerDone_));
         o.set("delivered", hx(ni.delivered_));
         Json q = Json::array();
-        for (const auto &msg : ni.inq_)
-            q.push(amJson(*msg));
+        for (const net::Packet *pkt : ni.inq_)
+            q.push(amJson(*pkt));
         o.set("inq", std::move(q));
         nodes.push(std::move(o));
     }

@@ -11,15 +11,17 @@
 namespace alewife::coh {
 
 
-// The protocol hot path schedules lambdas capturing [this, bool, ProtoMsg
-// by value]; they must fit the event queue's inline callback buffer or
-// every protocol message would silently fall back to a heap allocation.
+// Protocol events capture a pooled packet, never a message by value;
+// the largest capture is a local grant's line data. It must fit the
+// event queue's inline callback buffer or every local grant would
+// silently fall back to a heap allocation.
 static_assert(
     EventFn::fitsInline<decltype([p = static_cast<void *>(nullptr),
-                                  ex = false, m = ProtoMsg{}]() mutable {
-        (void)p, (void)ex, (void)m;
+                                  line = Addr{0}, ex = false,
+                                  w = mem::LineWords{}]() mutable {
+        (void)p, (void)line, (void)ex, (void)w;
     })>(),
-    "ProtoMsg capture exceeds kEventCallbackBytes; bump the constant");
+    "line-data capture exceeds kEventCallbackBytes; bump the constant");
 
 namespace {
 
@@ -40,6 +42,16 @@ protoMeta(EventTag tag, NodeId node, const ProtoMsg &m)
                m.requester))
            << 48);
     return EventMeta{tag, a, m.lineAddr};
+}
+
+/** The words of @p line as the home's memory holds them. */
+mem::LineWords
+memoryLine(const mem::AddressSpace &mem, Addr line)
+{
+    mem::LineWords words;
+    for (std::uint32_t i = 0; i < mem.wordsPerLine(); ++i)
+        words.push_back(mem.loadWord(line + 8 * i));
+    return words;
 }
 
 /** Record for a fill-completion event (line + exclusivity). */
@@ -72,31 +84,31 @@ CoherenceController::lineOf(Addr a) const
 std::uint64_t
 CoherenceController::lineEpoch(Addr a) const
 {
-    auto it = epochs_.find(lineOf(a));
-    return it == epochs_.end() ? 0 : it->second;
+    const std::uint64_t *e = epochs_.find(lineOf(a));
+    return e ? *e : 0;
 }
 
 void
 CoherenceController::debugDump(std::ostream &os) const
 {
-    for (const auto &[line, m] : mshrs_) {
-        os << "  node " << self_ << " MSHR line " << line << " want "
-           << (m.wantExclusive ? "X" : "S") << " demands "
-           << m.demands.size() << " deferred " << m.deferred.size()
+    for (const Mshr *m : mshrOpen_) {
+        os << "  node " << self_ << " MSHR line " << m->line << " want "
+           << (m->wantExclusive ? "X" : "S") << " demands "
+           << m->demands.size() << " deferred " << m->deferred.size()
            << "\n";
     }
-    for (const auto &[line, e] : dir_.all()) {
-        if (!e.busy() && e.queue.empty())
-            continue;
+    dir_.forEach([&](Addr line, const DirEntry &e) {
+        if (!e.busy() && e.queueEmpty())
+            return;
         os << "  home " << self_ << " line " << line << " state "
-           << static_cast<int>(e.state) << " queue " << e.queue.size();
+           << static_cast<int>(e.state) << " queue " << e.queueLen;
         if (e.busy()) {
             os << " txn req=" << msgTypeName(e.txn->request) << " from "
                << e.txn->requester << " acks=" << e.txn->pendingAcks
                << " recall=" << e.txn->waitingRecall;
         }
         os << "\n";
-    }
+    });
 }
 
 NodeId
@@ -142,15 +154,18 @@ CoherenceController::cmmuSlot(double occupancy_cycles)
 // Packet plumbing
 // ---------------------------------------------------------------------
 
-std::unique_ptr<net::Packet>
-CoherenceController::makePacket(NodeId dst, ProtoMsg msg) const
+void
+CoherenceController::sendProto(NodeId dst, const ProtoMsg &msg, Tick when)
 {
-    auto pkt = std::make_unique<net::Packet>();
+    net::Packet *pkt = mesh_.acquire();
     pkt->src = self_;
     pkt->dst = dst;
     pkt->kind = net::PacketKind::Coherence;
+    pkt->proto = msg;
+    pkt->proto.src = self_;
+    const ProtoMsg &m = pkt->proto;
 
-    switch (msg.type) {
+    switch (m.type) {
       case MsgType::GetS:
       case MsgType::GetX:
       case MsgType::Recall:
@@ -174,42 +189,23 @@ CoherenceController::makePacket(NodeId dst, ProtoMsg msg) const
         break;
     }
 
-    auto payload = std::make_unique<ProtoMsg>(std::move(msg));
-    payload->src = self_;
-    pkt->payload = std::move(payload);
-    return pkt;
-}
-
-void
-CoherenceController::sendProto(NodeId dst, ProtoMsg msg, Tick when)
-{
-    msg.src = self_;
     if (hooks_)
-        hooks_->onProtoSend(self_, dst, msg);
+        hooks_->onProtoSend(self_, dst, m);
     when = std::max(when, eq_.now());
     if (dst == self_) {
         // CMMU-internal: no network traversal, but still serialized
         // through the receive path for occupancy.
-        // Hoisted: the capture moves `msg`, and argument evaluation
-        // order relative to the capture-init is unspecified.
-        const EventMeta meta =
-            protoMeta(EventTag::CohLocalDeliver, self_, msg);
-        eq_.schedule(when, meta, [this, m = std::move(msg)]() mutable {
-            receive(std::move(m));
-        });
+        eq_.schedule(when, protoMeta(EventTag::CohLocalDeliver, self_, m),
+                     [this, pkt]() { receive(*pkt); });
         return;
     }
-    auto pkt = makePacket(dst, std::move(msg));
     if (when == eq_.now()) {
-        mesh_.send(std::move(pkt));
+        mesh_.send(pkt);
     } else {
-        auto *raw = pkt.release();
         eq_.schedule(when,
                      EventMeta{EventTag::CohPacketLaunch,
-                               reinterpret_cast<std::uintptr_t>(raw), 0},
-                     [this, raw]() {
-                         mesh_.send(std::unique_ptr<net::Packet>(raw));
-                     });
+                               reinterpret_cast<std::uintptr_t>(pkt), 0},
+                     [this, pkt]() { mesh_.send(pkt); });
     }
 }
 
@@ -294,7 +290,7 @@ CoherenceController::promoteFromBuffer(Addr line)
 
 void
 CoherenceController::installLine(Addr line, mem::LineState st,
-                                 const std::vector<std::uint64_t> &words)
+                                 const mem::LineWords &words)
 {
     // A fill supersedes any buffered copy of the same line. Without
     // this, a demand GetX landing in the cache would coexist with a
@@ -307,8 +303,8 @@ CoherenceController::installLine(Addr line, mem::LineState st,
         ProtoMsg wb;
         wb.type = MsgType::WbEvict;
         wb.lineAddr = victim->lineAddr;
-        wb.words = std::move(victim->words);
-        sendProto(mem_.home(victim->lineAddr), std::move(wb), eq_.now());
+        wb.words = victim->words;
+        sendProto(mem_.home(victim->lineAddr), wb, eq_.now());
         bumpEpoch(victim->lineAddr);
     }
 }
@@ -317,15 +313,35 @@ CoherenceController::installLine(Addr line, mem::LineState st,
 // Demand misses and prefetches
 // ---------------------------------------------------------------------
 
+CoherenceController::Mshr *
+CoherenceController::findMshr(Addr line)
+{
+    for (Mshr *m : mshrOpen_) {
+        if (m->line == line)
+            return m;
+    }
+    return nullptr;
+}
+
 CoherenceController::Mshr &
 CoherenceController::missTo(Addr line, bool exclusive)
 {
-    auto it = mshrs_.find(line);
-    if (it != mshrs_.end())
-        return it->second;
-    Mshr &m = mshrs_[line];
+    if (Mshr *open = findMshr(line))
+        return *open;
+    if (mshrFree_.empty()) {
+        mshrSlots_.push_back(std::make_unique<Mshr>());
+        mshrFree_.push_back(mshrSlots_.back().get());
+    }
+    Mshr &m = *mshrFree_.back();
+    mshrFree_.pop_back();
+    mshrOpen_.push_back(&m);
+    // A recycled slot keeps its vectors' capacity; every other field
+    // starts fresh.
     m.line = line;
     m.wantExclusive = exclusive;
+    m.prefetchOnly = true;
+    m.startedAsPrefetch = false;
+    m.killedByInv = false;
     if (hooks_)
         hooks_->onMshrOpen(self_, line, exclusive);
     sendRequest(exclusive ? MsgType::GetX : MsgType::GetS, line);
@@ -346,7 +362,7 @@ CoherenceController::sendRequest(MsgType t, Addr line)
     msg.requester = self_;
     msg.issuedAt = proc_.localNow();
     const Tick when = proc_.localNow() + cyclesToTicks(cfg_.reqIssueCycles);
-    sendProto(mem_.home(line), std::move(msg), when);
+    sendProto(mem_.home(line), msg, when);
 }
 
 std::shared_ptr<proc::OpState>
@@ -378,11 +394,11 @@ CoherenceController::startWrite(Addr a, std::uint64_t v, TimeCat wait_cat)
     op->stolenAtStart = proc_.stolenTicks();
 
     const Addr line = lineOf(a);
-    auto it = mshrs_.find(line);
-    if (it != mshrs_.end() && !it->second.wantExclusive) {
+    if (Mshr *pending = findMshr(line);
+        pending && !pending->wantExclusive) {
         // A shared-grade fetch is already in flight; re-run this store
         // once it lands (it will then take the upgrade path).
-        it->second.deferred.push_back([this, a, v, op]() {
+        pending->deferred.push_back([this, a, v, op]() {
             std::uint64_t dummy = v;
             if (tryFastWrite(a, v)) {
                 proc_.completeOp(op, dummy);
@@ -424,9 +440,9 @@ CoherenceController::startRmw(Addr a,
     op->stolenAtStart = proc_.stolenTicks();
 
     const Addr line = lineOf(a);
-    auto it = mshrs_.find(line);
-    if (it != mshrs_.end() && !it->second.wantExclusive) {
-        it->second.deferred.push_back([this, a, fn, op]() {
+    if (Mshr *pending = findMshr(line);
+        pending && !pending->wantExclusive) {
+        pending->deferred.push_back([this, a, fn, op]() {
             const Addr l = lineOf(a);
             if (cache_.state(a) == mem::LineState::Modified) {
                 const std::uint64_t old = cache_.readWord(a);
@@ -476,7 +492,7 @@ CoherenceController::prefetch(Addr a, bool exclusive)
         ++counters_.prefetchesUseless;
         return;
     }
-    if (mshrs_.count(line)) {
+    if (findMshr(line)) {
         ++counters_.prefetchesUseless;
         return;
     }
@@ -519,18 +535,31 @@ CoherenceController::satisfyDemand(const DemandWaiter &w)
 
 void
 CoherenceController::fillArrived(Addr line, bool exclusive,
-                                 std::vector<std::uint64_t> words)
+                                 const mem::LineWords &words)
 {
-    auto it = mshrs_.find(line);
-    if (it == mshrs_.end())
+    Mshr *mp = findMshr(line);
+    if (!mp)
         ALEWIFE_PANIC("data reply without MSHR, node ", self_, " line ",
                       line);
     if (hooks_)
         hooks_->onFill(self_, line, exclusive);
-    Mshr m = std::move(it->second);
-    mshrs_.erase(it);
+    // Closed from here on (a deferred demand may open a fresh MSHR for
+    // this line), but the slot is recycled only once the fill is done.
+    mshrOpen_.erase(std::find(mshrOpen_.begin(), mshrOpen_.end(), mp));
     if (hooks_)
         hooks_->onMshrClose(self_, line);
+    completeFill(*mp, exclusive, words);
+    mp->demands.clear();
+    mp->deferred.clear();
+    mp->stashedRecall.reset();
+    mshrFree_.push_back(mp);
+}
+
+void
+CoherenceController::completeFill(Mshr &m, bool exclusive,
+                                  const mem::LineWords &words)
+{
+    const Addr line = m.line;
     ALEWIFE_TRACE_EVENT(TraceCat::Coh, eq_.now(), "fill at ", self_,
                         " line ", line, exclusive ? " X" : " S",
                         " demands ", m.demands.size());
@@ -566,12 +595,11 @@ CoherenceController::fillArrived(Addr line, bool exclusive,
                 ProtoMsg wb;
                 wb.type = MsgType::WbEvict;
                 wb.lineAddr = victim->lineAddr;
-                wb.words = std::move(victim->words);
-                sendProto(mem_.home(victim->lineAddr), std::move(wb),
-                          eq_.now());
+                wb.words = victim->words;
+                sendProto(mem_.home(victim->lineAddr), wb, eq_.now());
             }
         }
-        pfb_.install(line, st, std::move(words));
+        pfb_.install(line, st, words);
         return;
     }
 
@@ -607,38 +635,45 @@ CoherenceController::fillArrived(Addr line, bool exclusive,
 // Network receive and home-side protocol
 // ---------------------------------------------------------------------
 
+template <typename F>
 void
-CoherenceController::receive(ProtoMsg msg)
+CoherenceController::processThenRelease(Tick at, const EventMeta &meta,
+                                        net::Packet *pkt, F fn)
 {
+    eq_.schedule(at, meta, [this, pkt, fn]() {
+        fn(pkt->proto);
+        mesh_.release(pkt);
+    });
+}
+
+void
+CoherenceController::receive(net::Packet &pkt)
+{
+    const ProtoMsg &msg = pkt.proto;
+    // Home- and cache-side processing: occupy the CMMU, then run the
+    // handler once the observer has seen processing begin.
+    auto process = [&](double occupancy, auto handler) {
+        const Tick at = cmmuSlot(occupancy);
+        processThenRelease(at, protoMeta(EventTag::CohProcess, self_, msg),
+                           &pkt, [this, handler](const ProtoMsg &m) {
+                               if (hooks_)
+                                   hooks_->onProtoProcess(self_, m);
+                               handler(m);
+                           });
+    };
     switch (msg.type) {
       case MsgType::GetS:
-      case MsgType::GetX: {
-        const Tick at = cmmuSlot(cfg_.homeOccupancyCycles);
-        const EventMeta meta = protoMeta(EventTag::CohProcess, self_, msg);
-        eq_.schedule(at, meta, [this, m = std::move(msg)]() mutable {
-            if (hooks_)
-                hooks_->onProtoProcess(self_, m);
-            homeRequest(std::move(m));
-        });
+      case MsgType::GetX:
+        process(cfg_.homeOccupancyCycles,
+                [this](const ProtoMsg &m) { homeRequest(m); });
         break;
-      }
       case MsgType::WbData:
-      case MsgType::WbEvict: {
-        const Tick at = cmmuSlot(cfg_.homeOccupancyCycles);
-        const EventMeta meta = protoMeta(EventTag::CohProcess, self_, msg);
-        eq_.schedule(at, meta, [this, m = std::move(msg)]() mutable {
-            if (hooks_)
-                hooks_->onProtoProcess(self_, m);
-            homeWriteback(m);
-        });
+      case MsgType::WbEvict:
+        process(cfg_.homeOccupancyCycles,
+                [this](const ProtoMsg &m) { homeWriteback(m); });
         break;
-      }
-      case MsgType::RecallNoData: {
-        const Tick at = cmmuSlot(cfg_.homeOccupancyCycles);
-        const EventMeta meta = protoMeta(EventTag::CohProcess, self_, msg);
-        eq_.schedule(at, meta, [this, m = std::move(msg)]() mutable {
-            if (hooks_)
-                hooks_->onProtoProcess(self_, m);
+      case MsgType::RecallNoData:
+        process(cfg_.homeOccupancyCycles, [this](const ProtoMsg &m) {
             // The matching WbEvict is ordered ahead of this message and
             // has already completed the transaction; nothing to do, but
             // verify the invariant.
@@ -647,35 +682,18 @@ CoherenceController::receive(ProtoMsg msg)
                 ALEWIFE_PANIC("RecallNoData without preceding writeback");
         });
         break;
-      }
-      case MsgType::InvAck: {
-        const Tick at = cmmuSlot(cfg_.homeOccupancyCycles);
-        const EventMeta meta = protoMeta(EventTag::CohProcess, self_, msg);
-        eq_.schedule(at, meta, [this, m = std::move(msg)]() mutable {
-            if (hooks_)
-                hooks_->onProtoProcess(self_, m);
-            homeInvAck(m);
-        });
+      case MsgType::InvAck:
+        process(cfg_.homeOccupancyCycles,
+                [this](const ProtoMsg &m) { homeInvAck(m); });
         break;
-      }
-      case MsgType::Inv: {
-        const Tick at = cmmuSlot(cfg_.invProcessCycles);
-        const EventMeta meta = protoMeta(EventTag::CohProcess, self_, msg);
-        eq_.schedule(at, meta, [this, m = std::move(msg)]() mutable {
-            if (hooks_)
-                hooks_->onProtoProcess(self_, m);
-            cacheInv(m);
-        });
+      case MsgType::Inv:
+        process(cfg_.invProcessCycles,
+                [this](const ProtoMsg &m) { cacheInv(m); });
         break;
-      }
       case MsgType::Recall:
       case MsgType::RecallX: {
         const bool ex = msg.type == MsgType::RecallX;
-        const Tick at = cmmuSlot(cfg_.invProcessCycles);
-        const EventMeta meta = protoMeta(EventTag::CohProcess, self_, msg);
-        eq_.schedule(at, meta, [this, ex, m = std::move(msg)]() mutable {
-            if (hooks_)
-                hooks_->onProtoProcess(self_, m);
+        process(cfg_.invProcessCycles, [this, ex](const ProtoMsg &m) {
             cacheRecall(m, ex);
         });
         break;
@@ -683,33 +701,23 @@ CoherenceController::receive(ProtoMsg msg)
       case MsgType::FwdGetS:
       case MsgType::FwdGetX: {
         const bool ex = msg.type == MsgType::FwdGetX;
-        const Tick at = cmmuSlot(cfg_.invProcessCycles);
-        const EventMeta meta = protoMeta(EventTag::CohProcess, self_, msg);
-        eq_.schedule(at, meta, [this, ex, m = std::move(msg)]() mutable {
-            if (hooks_)
-                hooks_->onProtoProcess(self_, m);
+        process(cfg_.invProcessCycles, [this, ex](const ProtoMsg &m) {
             cacheForward(m, ex);
         });
         break;
       }
-      case MsgType::FwdAck: {
-        const Tick at = cmmuSlot(cfg_.homeOccupancyCycles);
-        const EventMeta meta = protoMeta(EventTag::CohProcess, self_, msg);
-        eq_.schedule(at, meta, [this, m = std::move(msg)]() mutable {
-            if (hooks_)
-                hooks_->onProtoProcess(self_, m);
-            homeFwdAck(m);
-        });
+      case MsgType::FwdAck:
+        process(cfg_.homeOccupancyCycles,
+                [this](const ProtoMsg &m) { homeFwdAck(m); });
         break;
-      }
       case MsgType::Data:
       case MsgType::DataX: {
         const bool ex = msg.type == MsgType::DataX;
         const Tick at = eq_.now() + cyclesToTicks(cfg_.replyConsumeCycles);
-        const EventMeta meta = fillMeta(self_, msg.lineAddr, ex);
-        eq_.schedule(at, meta, [this, ex, m = std::move(msg)]() mutable {
-            fillArrived(m.lineAddr, ex, std::move(m.words));
-        });
+        processThenRelease(at, fillMeta(self_, msg.lineAddr, ex), &pkt,
+                           [this, ex](const ProtoMsg &m) {
+                               fillArrived(m.lineAddr, ex, m.words);
+                           });
         break;
       }
     }
@@ -727,11 +735,11 @@ CoherenceController::limitlessCost(const DirEntry &e)
 }
 
 void
-CoherenceController::homeRequest(ProtoMsg msg)
+CoherenceController::homeRequest(const ProtoMsg &msg)
 {
     DirEntry &e = dir_.entry(msg.lineAddr);
     if (e.busy()) {
-        e.queue.push_back(std::move(msg));
+        dir_.enqueue(e, msg);
         return;
     }
     const Addr line = msg.lineAddr;
@@ -745,15 +753,17 @@ void
 CoherenceController::homeMaybeDrain(Addr line)
 {
     DirEntry &e = dir_.entry(line);
-    if (e.busy() || e.queue.empty())
+    if (e.busy() || e.queueEmpty())
         return;
-    ProtoMsg next = std::move(e.queue.front());
-    e.queue.pop_front();
+    // The dequeued request waits for its CMMU slot in a pooled packet
+    // (the event carries the handle, not the message).
+    net::Packet *pkt = mesh_.acquire();
+    pkt->kind = net::PacketKind::Coherence;
+    pkt->proto = dir_.dequeue(e);
     const Tick at = cmmuSlot(cfg_.homeOccupancyCycles);
-    const EventMeta meta = protoMeta(EventTag::CohHomeDrain, self_, next);
-    eq_.schedule(at, meta, [this, m = std::move(next)]() mutable {
-        homeRequest(std::move(m));
-    });
+    processThenRelease(at,
+                       protoMeta(EventTag::CohHomeDrain, self_, pkt->proto),
+                       pkt, [this](const ProtoMsg &m) { homeRequest(m); });
 }
 
 void
@@ -776,19 +786,12 @@ CoherenceController::homeServe(const ProtoMsg &msg)
         return t;
     };
 
-    auto line_words = [&]() {
-        std::vector<std::uint64_t> words(mem_.wordsPerLine());
-        for (std::uint32_t i = 0; i < words.size(); ++i)
-            words[i] = mem_.loadWord(line + 8 * i);
-        return words;
-    };
-
     auto reply = [&](MsgType t, Tick when) {
         ProtoMsg r;
         r.type = t;
         r.lineAddr = line;
         r.requester = req;
-        r.words = line_words();
+        r.words = memoryLine(mem_, line);
         Tick dispatch = when;
         if (req == self_) {
             const bool ex = t == MsgType::DataX;
@@ -796,11 +799,11 @@ CoherenceController::homeServe(const ProtoMsg &msg)
             if (hooks_)
                 hooks_->onLocalGrant(self_, line, ex);
             eq_.schedule(dispatch, fillMeta(self_, line, ex),
-                         [this, line, ex, w = std::move(r.words)]() mutable {
-                             fillArrived(line, ex, std::move(w));
+                         [this, line, ex, w = r.words]() {
+                             fillArrived(line, ex, w);
                          });
         } else {
-            sendProto(req, std::move(r), when);
+            sendProto(req, r, when);
         }
         // A grant whose reply leaves later than now (LimitLESS trap,
         // local-miss floor) must hold the line busy until dispatch:
@@ -827,7 +830,8 @@ CoherenceController::homeServe(const ProtoMsg &msg)
         switch (e.state) {
           case DirState::Uncached:
             e.state = DirState::Shared;
-            e.sharers = {req};
+            e.sharers.clear();
+            e.sharers.push_back(req);
             reply(MsgType::Data, reply_at);
             return;
           case DirState::Shared: {
@@ -855,7 +859,7 @@ CoherenceController::homeServe(const ProtoMsg &msg)
             rc.lineAddr = line;
             rc.requester = req;
             rc.txnId = txn.id;
-            sendProto(e.owner, std::move(rc), reply_at);
+            sendProto(e.owner, rc, reply_at);
             return;
           }
         }
@@ -872,12 +876,10 @@ CoherenceController::homeServe(const ProtoMsg &msg)
             const double trap = limitlessCost(e);
             if (trap > 0.0)
                 reply_at = proc_.chargeHandler(trap, TimeCat::MsgOverhead);
-            std::vector<NodeId> to_inv;
-            for (NodeId s : e.sharers) {
-                if (s != req)
-                    to_inv.push_back(s);
-            }
-            if (to_inv.empty()) {
+            int invs = 0;
+            for (NodeId s : e.sharers)
+                invs += s != req ? 1 : 0;
+            if (invs == 0) {
                 e.state = DirState::Modified;
                 e.owner = req;
                 e.sharers.clear();
@@ -887,18 +889,22 @@ CoherenceController::homeServe(const ProtoMsg &msg)
             DirTxn txn;
             txn.request = MsgType::GetX;
             txn.requester = req;
-            txn.pendingAcks = static_cast<int>(to_inv.size());
+            txn.pendingAcks = invs;
             txn.id = nextTxnId_++;
             e.txn = txn;
             if (hooks_)
                 hooks_->onTxnOpen(self_, line, txn);
-            for (NodeId s : to_inv) {
-                ProtoMsg inv;
-                inv.type = MsgType::Inv;
-                inv.lineAddr = line;
-                inv.requester = req;
-                inv.txnId = txn.id;
-                sendProto(s, std::move(inv), reply_at);
+            // Sharers are invalidated in the order they joined; sending
+            // leaves the sharer list untouched.
+            ProtoMsg inv;
+            inv.type = MsgType::Inv;
+            inv.lineAddr = line;
+            inv.requester = req;
+            inv.txnId = txn.id;
+            for (NodeId s : e.sharers) {
+                if (s == req)
+                    continue;
+                sendProto(s, inv, reply_at);
                 ++counters_.invalidationsSent;
             }
             return;
@@ -920,7 +926,7 @@ CoherenceController::homeServe(const ProtoMsg &msg)
             rc.lineAddr = line;
             rc.requester = req;
             rc.txnId = txn.id;
-            sendProto(e.owner, std::move(rc), reply_at);
+            sendProto(e.owner, rc, reply_at);
             return;
           }
         }
@@ -974,13 +980,12 @@ CoherenceController::homeWriteback(const ProtoMsg &msg)
                 const bool ex = r.type == MsgType::DataX;
                 if (hooks_)
                     hooks_->onLocalGrant(self_, line, ex);
-                eq_.schedule(
-                    eq_.now(), fillMeta(self_, line, ex),
-                    [this, line, ex, w = std::move(r.words)]() mutable {
-                        fillArrived(line, ex, std::move(w));
-                    });
+                eq_.schedule(eq_.now(), fillMeta(self_, line, ex),
+                             [this, line, ex, w = r.words]() {
+                                 fillArrived(line, ex, w);
+                             });
             } else {
-                sendProto(txn.requester, std::move(r), eq_.now());
+                sendProto(txn.requester, r, eq_.now());
             }
         }
         homeComplete(line);
@@ -1017,20 +1022,18 @@ CoherenceController::homeInvAck(const ProtoMsg &msg)
     r.type = MsgType::DataX;
     r.lineAddr = msg.lineAddr;
     r.requester = req;
-    r.words.resize(mem_.wordsPerLine());
-    for (std::uint32_t i = 0; i < r.words.size(); ++i)
-        r.words[i] = mem_.loadWord(msg.lineAddr + 8 * i);
+    r.words = memoryLine(mem_, msg.lineAddr);
 
     if (req == self_) {
         const Addr line = msg.lineAddr;
         if (hooks_)
             hooks_->onLocalGrant(self_, line, true);
         eq_.schedule(eq_.now(), fillMeta(self_, line, true),
-                     [this, line, w = std::move(r.words)]() mutable {
-                         fillArrived(line, true, std::move(w));
+                     [this, line, w = r.words]() {
+                         fillArrived(line, true, w);
                      });
     } else {
-        sendProto(req, std::move(r), eq_.now());
+        sendProto(req, r, eq_.now());
     }
     homeComplete(msg.lineAddr);
 }
@@ -1061,13 +1064,12 @@ CoherenceController::cacheInv(const ProtoMsg &msg)
         if (dirty)
             ALEWIFE_PANIC("Inv hit a Modified line at node ", self_);
         pfb_.invalidate(line);
-        if (auto it = mshrs_.find(line);
-            it != mshrs_.end() && !it->second.wantExclusive) {
+        if (Mshr *m = findMshr(line); m && !m->wantExclusive) {
             // The invalidation overtook a data reply still in flight
             // (different source pairs under 3-hop forwarding): remember
             // to drop the line right after the fill satisfies the
             // demands that were ordered before this invalidation.
-            it->second.killedByInv = true;
+            m->killedByInv = true;
         }
         bumpEpoch(line);
     }
@@ -1081,7 +1083,7 @@ CoherenceController::cacheInv(const ProtoMsg &msg)
     ack.lineAddr = line;
     ack.requester = msg.requester;
     ack.txnId = msg.txnId;
-    sendProto(mem_.home(line), std::move(ack), eq_.now());
+    sendProto(mem_.home(line), ack, eq_.now());
 }
 
 void
@@ -1097,14 +1099,14 @@ CoherenceController::cacheRecall(const ProtoMsg &msg, bool exclusive)
         if (exclusive) {
             auto words = cache_.invalidate(line);
             resp.type = MsgType::WbData;
-            resp.words = std::move(*words);
+            resp.words = *words;
             bumpEpoch(line);
         } else {
             auto words = cache_.downgrade(line);
             resp.type = MsgType::WbData;
-            resp.words = std::move(*words);
+            resp.words = *words;
         }
-        sendProto(mem_.home(line), std::move(resp), eq_.now());
+        sendProto(mem_.home(line), resp, eq_.now());
         return;
     }
 
@@ -1120,7 +1122,7 @@ CoherenceController::cacheRecall(const ProtoMsg &msg, bool exclusive)
         } else {
             pfb_.downgrade(line);
         }
-        sendProto(mem_.home(line), std::move(resp), eq_.now());
+        sendProto(mem_.home(line), resp, eq_.now());
         return;
     }
 
@@ -1128,17 +1130,16 @@ CoherenceController::cacheRecall(const ProtoMsg &msg, bool exclusive)
     // of this response) or — under 3-hop forwarding — the recall
     // overtook our own granted data, which is still in flight: honour
     // the recall right after the fill.
-    if (auto it = mshrs_.find(line);
-        it != mshrs_.end() && it->second.wantExclusive) {
+    if (Mshr *m = findMshr(line); m && m->wantExclusive) {
         ProtoMsg stash = msg;
         stash.type = exclusive ? MsgType::RecallX : MsgType::Recall;
-        it->second.stashedRecall = std::move(stash);
+        m->stashedRecall = stash;
         if (hooks_)
             hooks_->onRecallStashed(self_, line);
         return;
     }
     resp.type = MsgType::RecallNoData;
-    sendProto(mem_.home(line), std::move(resp), eq_.now());
+    sendProto(mem_.home(line), resp, eq_.now());
 }
 
 void
@@ -1154,15 +1155,15 @@ CoherenceController::answerRecall(const ProtoMsg &msg, bool exclusive)
         auto words = cache_.invalidate(line);
         if (!words)
             ALEWIFE_PANIC("answerRecall: line vanished at ", self_);
-        resp.words = std::move(*words);
+        resp.words = *words;
         bumpEpoch(line);
     } else {
         auto words = cache_.downgrade(line);
         if (!words)
             ALEWIFE_PANIC("answerRecall: line not Modified at ", self_);
-        resp.words = std::move(*words);
+        resp.words = *words;
     }
-    sendProto(mem_.home(line), std::move(resp), eq_.now());
+    sendProto(mem_.home(line), resp, eq_.now());
 }
 
 void
@@ -1170,14 +1171,14 @@ CoherenceController::cacheForward(const ProtoMsg &msg, bool exclusive)
 {
     const Addr line = msg.lineAddr;
 
-    auto ship = [&](std::vector<std::uint64_t> words) {
+    auto ship = [&](const mem::LineWords &words) {
         // Data straight to the requester (the 3-hop shortcut)...
         ProtoMsg d;
         d.type = exclusive ? MsgType::DataX : MsgType::Data;
         d.lineAddr = line;
         d.requester = msg.requester;
         d.words = words;
-        sendProto(msg.requester, std::move(d), eq_.now());
+        sendProto(msg.requester, d, eq_.now());
         // ...and the home's confirmation: dirty data for a downgrade
         // (memory must be refreshed), a plain ack for a handoff.
         if (exclusive) {
@@ -1186,15 +1187,15 @@ CoherenceController::cacheForward(const ProtoMsg &msg, bool exclusive)
             a.lineAddr = line;
             a.requester = msg.requester;
             a.txnId = msg.txnId;
-            sendProto(mem_.home(line), std::move(a), eq_.now());
+            sendProto(mem_.home(line), a, eq_.now());
         } else {
             ProtoMsg wb;
             wb.type = MsgType::WbData;
             wb.lineAddr = line;
             wb.requester = msg.requester;
             wb.txnId = msg.txnId;
-            wb.words = std::move(words);
-            sendProto(mem_.home(line), std::move(wb), eq_.now());
+            wb.words = words;
+            sendProto(mem_.home(line), wb, eq_.now());
         }
     };
 
@@ -1202,16 +1203,16 @@ CoherenceController::cacheForward(const ProtoMsg &msg, bool exclusive)
         if (exclusive) {
             auto words = cache_.invalidate(line);
             bumpEpoch(line);
-            ship(std::move(*words));
+            ship(*words);
         } else {
             auto words = cache_.downgrade(line);
-            ship(std::move(*words));
+            ship(*words);
         }
         return;
     }
     if (const auto *e = pfb_.find(line);
         e && e->st == mem::LineState::Modified) {
-        std::vector<std::uint64_t> words = e->words;
+        const mem::LineWords words = e->words;
         if (exclusive) {
             pfb_.invalidate(line);
             cache_.invalidate(line);
@@ -1219,16 +1220,15 @@ CoherenceController::cacheForward(const ProtoMsg &msg, bool exclusive)
         } else {
             pfb_.downgrade(line);
         }
-        ship(std::move(words));
+        ship(words);
         return;
     }
-    if (auto it = mshrs_.find(line);
-        it != mshrs_.end() && it->second.wantExclusive) {
+    if (Mshr *m = findMshr(line); m && m->wantExclusive) {
         // The forward overtook our own granted data; honour it after
         // the fill (same stash as a recall).
         ProtoMsg stash = msg;
         stash.type = exclusive ? MsgType::FwdGetX : MsgType::FwdGetS;
-        it->second.stashedRecall = std::move(stash);
+        m->stashedRecall = stash;
         if (hooks_)
             hooks_->onRecallStashed(self_, line);
         return;
@@ -1240,7 +1240,7 @@ CoherenceController::cacheForward(const ProtoMsg &msg, bool exclusive)
     resp.requester = msg.requester;
     resp.txnId = msg.txnId;
     resp.type = MsgType::RecallNoData;
-    sendProto(mem_.home(line), std::move(resp), eq_.now());
+    sendProto(mem_.home(line), resp, eq_.now());
 }
 
 void

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "coh/directory.hh"
@@ -35,6 +34,7 @@
 #include "proc/op.hh"
 #include "proc/prefetch_buffer.hh"
 #include "proc/processor.hh"
+#include "sim/addr_map.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 
@@ -112,8 +112,12 @@ class CoherenceController
     // Network side
     // ------------------------------------------------------------------
 
-    /** Deliver a coherence packet addressed to this node. */
-    void receive(ProtoMsg msg);
+    /**
+     * Deliver a coherence packet addressed to this node. The controller
+     * owns @p pkt from here and releases it to the mesh once the
+     * message's handler has run.
+     */
+    void receive(net::Packet &pkt);
 
     // ------------------------------------------------------------------
     // Spin-wait support
@@ -205,13 +209,19 @@ class CoherenceController
     /** Send a request to the line's home (local homes short-circuit). */
     void sendRequest(MsgType t, Addr line);
 
+    /** Open MSHR for @p line, or null. */
+    Mshr *findMshr(Addr line);
+
     /** A Data/DataX reply (or local grant) for an MSHR line arrived. */
     void fillArrived(Addr line, bool exclusive,
-                     std::vector<std::uint64_t> words);
+                     const mem::LineWords &words);
+
+    /** fillArrived's work on the just-closed MSHR @p m. */
+    void completeFill(Mshr &m, bool exclusive, const mem::LineWords &words);
 
     /** Install into the cache, handling dirty victims. */
     void installLine(Addr line, mem::LineState st,
-                     const std::vector<std::uint64_t> &words);
+                     const mem::LineWords &words);
 
     /** Consume a buffered prefetch into the cache for a demand access. */
     void promoteFromBuffer(Addr line);
@@ -222,7 +232,7 @@ class CoherenceController
     // --- home-side machinery ---
 
     /** Queue-or-process a request arriving at this (home) node. */
-    void homeRequest(ProtoMsg msg);
+    void homeRequest(const ProtoMsg &msg);
 
     /** Actually serve a request; the line must not be busy. */
     void homeServe(const ProtoMsg &msg);
@@ -266,12 +276,17 @@ class CoherenceController
     /** Time protocol work at this node's CMMU may next start. */
     Tick cmmuSlot(double occupancy_cycles);
 
-    /** Send a protocol packet from this node at >= localNow. */
-    void sendProto(NodeId dst, ProtoMsg msg, Tick when);
+    /**
+     * Send a copy of @p msg from this node at >= now, in a packet from
+     * the mesh's pool (with volume accounting). A message to this node
+     * skips the network but still takes the receive path.
+     */
+    void sendProto(NodeId dst, const ProtoMsg &msg, Tick when);
 
-    /** Build the packet for @p msg with volume accounting. */
-    std::unique_ptr<net::Packet> makePacket(NodeId dst,
-                                            ProtoMsg msg) const;
+    /** Schedule @p fn at @p at, then release @p pkt to the pool. */
+    template <typename F>
+    void processThenRelease(Tick at, const EventMeta &meta,
+                            net::Packet *pkt, F fn);
 
     void bumpEpoch(Addr line);
 
@@ -286,8 +301,15 @@ class CoherenceController
     MachineCounters &counters_;
 
     Directory dir_;
-    std::unordered_map<Addr, Mshr> mshrs_;
-    std::unordered_map<Addr, std::uint64_t> epochs_;
+    /**
+     * MSHR storage: stable slots, reused with their vectors' capacity.
+     * Open ones are listed in mshrOpen_ (a handful at most, so lookup
+     * is a scan); closed ones wait in mshrFree_.
+     */
+    std::vector<std::unique_ptr<Mshr>> mshrSlots_;
+    std::vector<Mshr *> mshrOpen_;
+    std::vector<Mshr *> mshrFree_;
+    sim::AddrMap<std::uint64_t> epochs_;
     Tick cmmuFreeAt_ = 0;
     std::uint64_t nextTxnId_ = 1;
     int prefetchesInFlight_ = 0;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/logging.hh"
+
 namespace alewife::coh {
 
 const char *
@@ -54,25 +56,48 @@ DirEntry::addSharer(NodeId n)
     return sharers.size();
 }
 
+std::uint32_t
+Directory::newEntry()
+{
+    const std::uint32_t i = entries_++;
+    if ((i & (kSlabEntries - 1)) == 0)
+        slabs_.push_back(std::make_unique<DirEntry[]>(kSlabEntries));
+    return i + 1;
+}
+
 void
-DirEntry::removeSharer(NodeId n)
+Directory::enqueue(DirEntry &e, const ProtoMsg &m)
 {
-    sharers.erase(std::remove(sharers.begin(), sharers.end(), n),
-                  sharers.end());
+    std::uint32_t i = queuedFree_;
+    if (i == DirEntry::kNoMsg) {
+        i = static_cast<std::uint32_t>(queued_.size());
+        queued_.emplace_back();
+    } else {
+        queuedFree_ = queued_[i].next;
+    }
+    queued_[i].msg = m;
+    queued_[i].next = DirEntry::kNoMsg;
+    if (e.queueTail == DirEntry::kNoMsg)
+        e.queueHead = i;
+    else
+        queued_[e.queueTail].next = i;
+    e.queueTail = i;
+    ++e.queueLen;
 }
 
-DirEntry *
-Directory::find(Addr line)
+ProtoMsg
+Directory::dequeue(DirEntry &e)
 {
-    auto it = entries_.find(line);
-    return it == entries_.end() ? nullptr : &it->second;
-}
-
-const DirEntry *
-Directory::find(Addr line) const
-{
-    auto it = entries_.find(line);
-    return it == entries_.end() ? nullptr : &it->second;
+    if (e.queueLen == 0)
+        ALEWIFE_PANIC("dequeue from an empty directory queue");
+    const std::uint32_t i = e.queueHead;
+    e.queueHead = queued_[i].next;
+    if (e.queueHead == DirEntry::kNoMsg)
+        e.queueTail = DirEntry::kNoMsg;
+    --e.queueLen;
+    queued_[i].next = queuedFree_;
+    queuedFree_ = i;
+    return queued_[i].msg;
 }
 
 } // namespace alewife::coh

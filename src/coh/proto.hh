@@ -14,9 +14,8 @@
 #define ALEWIFE_COH_PROTO_HH
 
 #include <cstdint>
-#include <vector>
 
-#include "net/packet.hh"
+#include "mem/line_words.hh"
 #include "sim/types.hh"
 
 namespace alewife::coh {
@@ -46,8 +45,12 @@ const char *msgTypeName(MsgType t);
 /** True for messages that carry a full cache line of data. */
 bool carriesData(MsgType t);
 
-/** A coherence message; rides inside a net::Packet. */
-struct ProtoMsg : net::PayloadBase
+/**
+ * A coherence message. A plain, trivially copyable value: it rides
+ * inline in a pooled net::Packet, and is copied out only when parked
+ * (directory request queues, stashed recalls).
+ */
+struct ProtoMsg
 {
     MsgType type = MsgType::GetS;
     Addr lineAddr = 0;
@@ -63,7 +66,7 @@ struct ProtoMsg : net::PayloadBase
      */
     Tick issuedAt = 0;
     /** Line contents for data-carrying messages. */
-    std::vector<std::uint64_t> words;
+    mem::LineWords words;
 };
 
 } // namespace alewife::coh

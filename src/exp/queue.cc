@@ -558,6 +558,12 @@ WorkQueue::claim(std::int64_t nowMs)
             continue; // claimed by someone else between list and read
         if (job->notBeforeMs > nowMs)
             continue; // backing off after a failure
+        // Lease before the rename: the reaper treats a leased entry
+        // with no lease as lost, so the entry must never be visible in
+        // leased/ without one. A racing claimer's lease may land on
+        // top of ours; the winner rewrites it after the rename and on
+        // every heartbeat.
+        writeLease(id, nowMs);
         std::error_code ec;
         fs::rename(statePath("pending", id), statePath("leased", id),
                    ec);

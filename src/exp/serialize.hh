@@ -22,8 +22,9 @@
 
 namespace alewife::exp {
 
-/** Version of the emitted result schema. */
-constexpr int kResultSchemaVersion = 1;
+/** Version of the emitted result schema (2: counters.packetsInjected
+ *  and packetsDelivered hold the mesh's packet counts). */
+constexpr int kResultSchemaVersion = 2;
 
 /** One RunResult as a JSON object (no schema header). */
 Json resultToJson(const core::RunResult &r);

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "mem/line_words.hh"
+#include "msg/am_header.hh"
 #include "sim/logging.hh"
 
 namespace alewife {
@@ -32,8 +34,12 @@ MachineConfig::validate() const
         ALEWIFE_FATAL("mesh dimensions must be positive");
     if (procMhz <= 0.0)
         ALEWIFE_FATAL("procMhz must be positive");
-    if (lineBytes % 8 != 0 || lineBytes == 0)
-        ALEWIFE_FATAL("lineBytes must be a positive multiple of 8");
+    // Line data rides inline (mem::LineWords), and lineOf()/lineBase()
+    // mask with lineBytes - 1.
+    if (lineBytes < 8 || lineBytes > mem::kMaxLineBytes
+        || (lineBytes & (lineBytes - 1)) != 0)
+        ALEWIFE_FATAL("lineBytes must be a power of two of 8..",
+                      mem::kMaxLineBytes, ", got ", lineBytes);
     if (cacheBytes % lineBytes != 0)
         ALEWIFE_FATAL("cacheBytes must be a multiple of lineBytes");
     if (!idealNet && linkMBps <= 0.0)
@@ -42,6 +48,12 @@ MachineConfig::validate() const
         ALEWIFE_FATAL("dirHwPointers must be at least 1");
     if (niInputQueueSlots < 1)
         ALEWIFE_FATAL("niInputQueueSlots must be at least 1");
+    // Half of an active message's words are register arguments, which
+    // ride inline in the packet (msg::AmArgs).
+    if (amMaxWords < 0
+        || amMaxWords > 2 * static_cast<int>(msg::kAmMaxArgs))
+        ALEWIFE_FATAL("amMaxWords must be 0..", 2 * msg::kAmMaxArgs,
+                      ", got ", amMaxWords);
 }
 
 std::string

@@ -48,22 +48,23 @@ Machine::Machine(MachineConfig cfg, proc::SyncStyle style,
         nodes_.back()->ni->setMode(mode);
     }
 
-    for (int i = 0; i < cfg_.nodes(); ++i) {
-        mesh_->setSink(i, [this, i](net::Packet &p) -> bool {
-            switch (p.kind) {
-              case net::PacketKind::Coherence: {
-                auto *m = static_cast<coh::ProtoMsg *>(p.payload.get());
-                nodes_[i]->coh->receive(std::move(*m));
-                return true;
-              }
-              case net::PacketKind::ActiveMessage:
-                return nodes_[i]->ni->receive(p);
-              case net::PacketKind::CrossTraffic:
-                return true; // drains off the mesh edge
-            }
-            ALEWIFE_PANIC("bad packet kind");
-        });
+    mesh_->setSink([this](net::Packet &p) { return deliver(p); });
+}
+
+bool
+Machine::deliver(net::Packet &pkt)
+{
+    Node &n = *nodes_[static_cast<std::size_t>(pkt.dst)];
+    switch (pkt.kind) {
+      case net::PacketKind::Coherence:
+        n.coh->receive(pkt);
+        return true;
+      case net::PacketKind::ActiveMessage:
+        return n.ni->receive(pkt);
+      case net::PacketKind::CrossTraffic:
+        return true; // drains off the mesh edge
     }
+    ALEWIFE_PANIC("bad packet kind");
 }
 
 Machine::~Machine() = default;
@@ -74,6 +75,9 @@ Machine::countersAggregate() const
     MachineCounters total;
     for (const CounterShard &s : shards_)
         total += s.c;
+    // The mesh counts every packet itself (cross-traffic included).
+    total.packetsInjected = mesh_->packetsInjected();
+    total.packetsDelivered = mesh_->packetsDelivered();
     return total;
 }
 

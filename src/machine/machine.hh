@@ -206,6 +206,9 @@ class Machine
     void wireHooks(check::Hooks *h);
 
     [[noreturn]] void panicDeadlock() const;
+
+    /** The mesh sink: dispatch an arrived packet to its node by kind. */
+    bool deliver(net::Packet &pkt);
     struct Node
     {
         Node(NodeId id, Machine &m);

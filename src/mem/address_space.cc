@@ -7,12 +7,14 @@
 namespace alewife::mem {
 
 AddressSpace::AddressSpace(int nodes, std::uint32_t line_bytes)
-    : nodes_(nodes), lineBytes_(line_bytes), nextBase_(line_bytes)
+    : nodes_(nodes), lineBytes_(line_bytes),
+      lineShift_(static_cast<std::uint32_t>(std::countr_zero(line_bytes))),
+      nextBase_(line_bytes)
 {
-    if (nodes < 1)
-        ALEWIFE_FATAL("address space needs at least one node");
-    if (line_bytes == 0 || (line_bytes & (line_bytes - 1)) != 0)
-        ALEWIFE_FATAL("line size must be a power of two");
+    if (nodes < 1 || nodes > 0x10000)
+        ALEWIFE_FATAL("address space needs 1..65536 nodes");
+    if (line_bytes < 8 || (line_bytes & (line_bytes - 1)) != 0)
+        ALEWIFE_FATAL("line size must be a power of two of at least 8");
 }
 
 Addr
@@ -36,48 +38,35 @@ AddressSpace::alloc(std::uint64_t words, HomePolicy policy,
 
     store_.resize(store_.size() + rounded, 0);
     nextBase_ += rounded * 8;
+
+    // Home of every line of the region, computed once here so home()
+    // is a table lookup.
+    const std::uint64_t lines = rounded / wpl;
+    const std::uint64_t per = (lines + nodes_ - 1) / nodes_;
+    homeOfLine_.reserve(homeOfLine_.size() + lines);
+    for (std::uint64_t line = 0; line < lines; ++line) {
+        NodeId h = 0;
+        switch (policy) {
+          case HomePolicy::Fixed:
+            h = fixed_node;
+            break;
+          case HomePolicy::Interleaved:
+            h = static_cast<NodeId>(line % nodes_);
+            break;
+          case HomePolicy::Blocked:
+            // Whole-line chunks, as even as possible.
+            h = static_cast<NodeId>(line / per);
+            break;
+        }
+        homeOfLine_.push_back(static_cast<std::uint16_t>(h));
+    }
     return r.base;
 }
 
-const AddressSpace::Region &
-AddressSpace::regionFor(Addr a) const
+void
+AddressSpace::unmapped(Addr a)
 {
-    // Regions are sorted by base; binary search for the containing one.
-    std::size_t lo = 0, hi = regions_.size();
-    while (lo < hi) {
-        const std::size_t mid = (lo + hi) / 2;
-        const Region &r = regions_[mid];
-        if (a < r.base) {
-            hi = mid;
-        } else if (a >= r.base + r.words * 8) {
-            lo = mid + 1;
-        } else {
-            return r;
-        }
-    }
     ALEWIFE_PANIC("address ", a, " not in any shared allocation");
-}
-
-NodeId
-AddressSpace::home(Addr a) const
-{
-    const Region &r = regionFor(a);
-    switch (r.policy) {
-      case HomePolicy::Fixed:
-        return r.fixedNode;
-      case HomePolicy::Interleaved: {
-        const std::uint64_t line = (a - r.base) / lineBytes_;
-        return static_cast<NodeId>(line % nodes_);
-      }
-      case HomePolicy::Blocked: {
-        // Whole-line chunks, as even as possible.
-        const std::uint64_t lines = (r.words * 8) / lineBytes_;
-        const std::uint64_t line = (a - r.base) / lineBytes_;
-        const std::uint64_t per = (lines + nodes_ - 1) / nodes_;
-        return static_cast<NodeId>(line / per);
-      }
-    }
-    ALEWIFE_PANIC("bad home policy");
 }
 
 std::uint64_t
@@ -85,7 +74,7 @@ AddressSpace::loadWord(Addr a) const
 {
     if (a % 8 != 0)
         ALEWIFE_PANIC("unaligned word load at ", a);
-    regionFor(a); // bounds check
+    lineIndex(a); // bounds check
     // Regions are packed contiguously starting at byte offset lineBytes_.
     return store_[(a - lineBytes_) / 8];
 }
@@ -95,7 +84,7 @@ AddressSpace::storeWord(Addr a, std::uint64_t v)
 {
     if (a % 8 != 0)
         ALEWIFE_PANIC("unaligned word store at ", a);
-    regionFor(a); // bounds check
+    lineIndex(a); // bounds check
     store_[(a - lineBytes_) / 8] = v;
 }
 

@@ -51,7 +51,11 @@ class AddressSpace
                NodeId fixed_node = 0, const std::string &label = "");
 
     /** Home node of the line containing @p a. */
-    NodeId home(Addr a) const;
+    NodeId
+    home(Addr a) const
+    {
+        return static_cast<NodeId>(homeOfLine_[lineIndex(a)]);
+    }
 
     /** Read the backing-store word at @p a (must be 8-byte aligned). */
     std::uint64_t loadWord(Addr a) const;
@@ -86,13 +90,30 @@ class AddressSpace
         std::string label;
     };
 
-    const Region &regionFor(Addr a) const;
+    /**
+     * Index of the line holding @p a among all allocated lines; panics
+     * outside every allocation. Regions are packed contiguously from
+     * byte address lineBytes_, so this is a shift and a bounds check.
+     */
+    std::size_t
+    lineIndex(Addr a) const
+    {
+        const std::size_t i = (a - lineBytes_) >> lineShift_;
+        if (a < lineBytes_ || i >= homeOfLine_.size()) [[unlikely]]
+            unmapped(a);
+        return i;
+    }
+
+    [[noreturn]] static void unmapped(Addr a);
 
     int nodes_;
     std::uint32_t lineBytes_;
+    std::uint32_t lineShift_;
     Addr nextBase_;
     std::vector<Region> regions_;
     std::vector<std::uint64_t> store_;
+    /** Home node of every allocated line, filled at alloc(). */
+    std::vector<std::uint16_t> homeOfLine_;
 };
 
 } // namespace alewife::mem

@@ -15,7 +15,7 @@ HandlerEnv::send(NodeId dst, HandlerId h,
     Outgoing o;
     o.dst = dst;
     o.handler = h;
-    o.args.assign(args.begin(), args.end());
+    o.args.assign(args);
     o.body.assign(body.begin(), body.end());
     o.bulk = bulk;
     outgoing_.push_back(std::move(o));
@@ -49,48 +49,47 @@ NetIface::inject(NodeId dst, HandlerId h,
                  std::span<const std::uint64_t> args,
                  std::span<const std::uint64_t> body, bool bulk, Tick when)
 {
-    auto msg = std::make_unique<AmMessage>();
-    msg->handler = h;
-    msg->src = self_;
-    msg->args.assign(args.begin(), args.end());
-    msg->body.assign(body.begin(), body.end());
-    msg->bulk = bulk;
-
-    auto pkt = std::make_unique<net::Packet>();
+    if (args.size() > kAmMaxArgs)
+        ALEWIFE_PANIC("active message with ", args.size(),
+                      " arguments; the NI holds ", kAmMaxArgs);
+    net::Packet *pkt = mesh_.acquire();
     pkt->src = self_;
     pkt->dst = dst;
     pkt->kind = net::PacketKind::ActiveMessage;
+    pkt->am = msg::AmHeader{};
+    pkt->am.handler = h;
+    pkt->am.src = self_;
+    pkt->am.bulk = bulk;
+    pkt->am.args.assign(args);
+    pkt->body.assign(body.begin(), body.end());
+
     pkt->addBytes(VolCat::Headers, cfg_.amHeaderBytes);
-    if (!msg->args.empty())
+    if (!args.empty())
         pkt->addBytes(VolCat::Data,
-                      static_cast<std::uint32_t>(8 * msg->args.size()));
+                      static_cast<std::uint32_t>(8 * args.size()));
     if (bulk) {
         // (address, length) descriptor plus the body padded to the DMA
         // alignment granularity (the padding loss Figure 5 shows for
         // ICCG's small bulk transfers).
         pkt->addBytes(VolCat::Headers, 8);
         const std::uint32_t raw =
-            static_cast<std::uint32_t>(8 * msg->body.size());
+            static_cast<std::uint32_t>(8 * body.size());
         const std::uint32_t align = cfg_.dmaAlignBytes;
         const std::uint32_t padded = (raw + align - 1) / align * align;
         pkt->addBytes(VolCat::Data, padded);
         ++counters_.dmaTransfers;
-    } else if (!msg->body.empty()) {
+    } else if (!body.empty()) {
         pkt->addBytes(VolCat::Data,
-                      static_cast<std::uint32_t>(8 * msg->body.size()));
+                      static_cast<std::uint32_t>(8 * body.size()));
     }
-    pkt->payload = std::move(msg);
 
     if (when <= eq_.now())
-        return mesh_.send(std::move(pkt));
+        return mesh_.send(pkt);
 
-    auto *raw = pkt.release();
     eq_.schedule(when,
                  EventMeta{EventTag::AmPacketLaunch,
-                           reinterpret_cast<std::uintptr_t>(raw), 0},
-                 [this, raw]() {
-                     mesh_.send(std::unique_ptr<net::Packet>(raw));
-                 });
+                           reinterpret_cast<std::uintptr_t>(pkt), 0},
+                 [this, pkt]() { mesh_.send(pkt); });
     return 0;
 }
 
@@ -101,11 +100,9 @@ NetIface::receive(net::Packet &pkt)
         ++counters_.niQueueFullStalls;
         return false;
     }
-    auto *am = dynamic_cast<AmMessage *>(pkt.payload.get());
-    if (!am)
+    if (pkt.kind != net::PacketKind::ActiveMessage)
         ALEWIFE_PANIC("non-AM packet delivered to NI at node ", self_);
-    pkt.payload.release();
-    inq_.emplace_back(am);
+    inq_.push_back(&pkt);
 
     if (mode_ == RecvMode::Interrupt && !drainScheduled_) {
         drainScheduled_ = true;
@@ -123,8 +120,15 @@ NetIface::receive(net::Packet &pkt)
 }
 
 Tick
-NetIface::runHandler(const AmMessage &m)
+NetIface::runHandler(net::Packet *pkt)
 {
+    const msg::AmHeader &hdr = pkt->am;
+    AmMessage m;
+    m.handler = hdr.handler;
+    m.src = hdr.src;
+    m.args = hdr.args;
+    m.body = pkt->body;
+    m.bulk = hdr.bulk;
     ALEWIFE_TRACE_EVENT(TraceCat::Msg, eq_.now(), "handler ",
                         m.handler, " at ", self_, " from ", m.src,
                         " args ", m.args.size(), " body ",
@@ -158,6 +162,7 @@ NetIface::runHandler(const AmMessage &m)
     for (auto &o : env.outgoing_)
         inject(o.dst, o.handler, o.args, o.body, o.bulk, done);
 
+    mesh_.release(pkt);
     ++delivered_;
     proc_.recheckCond();
     return done;
@@ -170,9 +175,9 @@ NetIface::drainNext()
         drainScheduled_ = false;
         return;
     }
-    auto m = std::move(inq_.front());
+    net::Packet *pkt = inq_.front();
     inq_.pop_front();
-    lastHandlerDone_ = runHandler(*m);
+    lastHandlerDone_ = runHandler(pkt);
     eq_.schedule(lastHandlerDone_,
                  EventMeta{EventTag::AmDrain,
                            static_cast<std::uint64_t>(
@@ -186,9 +191,9 @@ NetIface::pollDrain()
 {
     int n = 0;
     while (!inq_.empty()) {
-        auto m = std::move(inq_.front());
+        net::Packet *pkt = inq_.front();
         inq_.pop_front();
-        runHandler(*m);
+        runHandler(pkt);
         ++n;
     }
     return n;

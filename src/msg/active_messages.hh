@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "machine/config.hh"
+#include "msg/am_header.hh"
 #include "net/mesh.hh"
 #include "net/packet.hh"
 #include "proc/processor.hh"
@@ -37,9 +38,6 @@ class Access;
 }
 
 namespace alewife::msg {
-
-/** Index into the machine-wide handler table. */
-using HandlerId = int;
 
 /**
  * Build an argument-word vector. Use this instead of a braced
@@ -57,15 +55,19 @@ amArgs(Ts... vs)
     return out;
 }
 
-/** An active message (possibly with a DMA bulk body). */
-struct AmMessage : net::PayloadBase
+/**
+ * An active message (possibly with a DMA bulk body) as its handler
+ * sees it: views into the delivered packet, valid while the handler
+ * runs.
+ */
+struct AmMessage
 {
     HandlerId handler = -1;
     NodeId src = -1;
-    /** Register-file arguments (at most MachineConfig::amMaxWords/2). */
-    std::vector<std::uint64_t> args;
+    /** Register-file arguments (at most kAmMaxArgs). */
+    std::span<const std::uint64_t> args;
     /** DMA body, present only for bulk transfers. */
-    std::vector<std::uint64_t> body;
+    std::span<const std::uint64_t> body;
     bool bulk = false;
 };
 
@@ -104,7 +106,7 @@ class HandlerEnv
     {
         NodeId dst;
         HandlerId handler;
-        std::vector<std::uint64_t> args;
+        AmArgs args;
         std::vector<std::uint64_t> body;
         bool bulk;
     };
@@ -162,7 +164,10 @@ class NetIface
                 std::span<const std::uint64_t> args,
                 std::span<const std::uint64_t> body, bool bulk, Tick when);
 
-    /** Network sink; false when the input queue is full. */
+    /**
+     * Network sink; false when the input queue is full. On true the NI
+     * owns @p pkt and releases it after the handler has run.
+     */
     bool receive(net::Packet &pkt);
 
     /**
@@ -181,8 +186,9 @@ class NetIface
     /** Checkpoint capture/verify reads private state. */
     friend class alewife::ckpt::Access;
 
-    /** Run one handler; returns its completion tick. */
-    Tick runHandler(const AmMessage &m);
+    /** Run the handler of @p pkt and release it; returns its
+     *  completion tick. */
+    Tick runHandler(net::Packet *pkt);
 
     /** Interrupt-mode drain chain. */
     void drainNext();
@@ -196,7 +202,8 @@ class NetIface
     MachineCounters &counters_;
 
     RecvMode mode_ = RecvMode::Interrupt;
-    std::deque<std::unique_ptr<AmMessage>> inq_;
+    /** Accepted packets waiting for their handler. */
+    std::deque<net::Packet *> inq_;
     bool drainScheduled_ = false;
     Tick lastHandlerDone_ = 0;
     std::uint64_t delivered_ = 0;

@@ -55,14 +55,14 @@ CrossTraffic::injectAll()
     if (quiesced_ && quiesced_())
         return;
     for (const Stream &s : streams_) {
-        auto pkt = std::make_unique<Packet>();
+        Packet *pkt = mesh_.acquire();
         pkt->src = s.src;
         pkt->dst = s.dst;
         pkt->kind = PacketKind::CrossTraffic;
         pkt->sizeBytes = cfg_.messageBytes;
         pkt->countInVolume = false;
         bytesInjected_ += cfg_.messageBytes;
-        mesh_.send(std::move(pkt));
+        mesh_.send(pkt);
     }
     eq_.schedule(eq_.now() + periodTicks_,
                  EventMeta{EventTag::CrossTrafficTick, 0, 0},

@@ -12,10 +12,15 @@ namespace alewife::net {
 
 Mesh::Mesh(EventQueue &eq, const MachineConfig &cfg) : eq_(eq), cfg_(cfg)
 {
-    sinks_.resize(cfg.nodes());
     // Four unidirectional links per node (E, W, N, S); links off the mesh
     // edge exist but are only used by cross-traffic draining off-edge.
     links_.resize(static_cast<std::size_t>(cfg.nodes()) * 4);
+    nodeX_.resize(static_cast<std::size_t>(cfg.nodes()));
+    nodeY_.resize(static_cast<std::size_t>(cfg.nodes()));
+    for (int n = 0; n < cfg.nodes(); ++n) {
+        nodeX_[static_cast<std::size_t>(n)] = n % cfg.meshX;
+        nodeY_[static_cast<std::size_t>(n)] = n / cfg.meshX;
+    }
     computeDerivedTiming();
 }
 
@@ -33,12 +38,6 @@ Mesh::computeDerivedTiming()
     serTable_.resize(4096);
     for (std::uint32_t b = 0; b < serTable_.size(); ++b)
         serTable_[b] = serializationTicksExact(b);
-}
-
-void
-Mesh::setSink(NodeId node, Sink sink)
-{
-    sinks_.at(node) = std::move(sink);
 }
 
 Tick
@@ -93,36 +92,17 @@ Mesh::linkIndex(int x, int y, int nx, int ny) const
     return node * 4 + dir;
 }
 
-void
-Mesh::route(NodeId src, NodeId dst, RouteBuf &links) const
-{
-    links.clear();
-    int x = src % cfg_.meshX;
-    int y = src / cfg_.meshX;
-    const int dx = dst % cfg_.meshX;
-    const int dy = dst / cfg_.meshX;
-    while (x != dx) {
-        const int nx = x + (dx > x ? 1 : -1);
-        links.push_back(linkIndex(x, y, nx, y));
-        x = nx;
-    }
-    while (y != dy) {
-        const int ny = y + (dy > y ? 1 : -1);
-        links.push_back(linkIndex(x, y, x, ny));
-        y = ny;
-    }
-}
-
 int
 Mesh::hopCount(NodeId a, NodeId b) const
 {
-    const int ax = a % cfg_.meshX, ay = a / cfg_.meshX;
-    const int bx = b % cfg_.meshX, by = b / cfg_.meshX;
-    return std::abs(ax - bx) + std::abs(ay - by);
+    const auto ai = static_cast<std::size_t>(a);
+    const auto bi = static_cast<std::size_t>(b);
+    return std::abs(nodeX_[ai] - nodeX_[bi])
+           + std::abs(nodeY_[ai] - nodeY_[bi]);
 }
 
 Tick
-Mesh::send(std::unique_ptr<Packet> pkt)
+Mesh::send(Packet *pkt)
 {
     // Parallel windows: sends mutate mesh-global state (packet ids,
     // link horizons, volume, the jitter RNG), so they run gated — one
@@ -158,29 +138,33 @@ Mesh::send(std::unique_ptr<Packet> pkt)
             cost.ideal = true;
             hooks_->onPacketEdgeCost(cost);
         }
-        auto *raw = pkt.release();
         eq_.schedule(arrive,
                      EventMeta{EventTag::MeshDeliverIdeal,
-                               reinterpret_cast<std::uintptr_t>(raw), 0},
-                     [this, raw]() {
-                         deliver(std::unique_ptr<Packet>(raw), -1);
-                     });
+                               reinterpret_cast<std::uintptr_t>(pkt), 0},
+                     [this, pkt]() { deliver(pkt, -1); });
         return 0;
     }
 
-    route(pkt->src, pkt->dst, scratchLinks_);
+    // Dimension-order route, walked arithmetically: the X run along the
+    // source row, then the Y run along the destination column. Link
+    // index = node * 4 + direction (E, W, N, S), so one hop east or west
+    // steps the index by 4 and one hop north or south by 4 * meshX.
+    const auto si = static_cast<std::size_t>(pkt->src);
+    const auto di = static_cast<std::size_t>(pkt->dst);
+    const int sx = nodeX_[si], sy = nodeY_[si];
+    const int dx = nodeX_[di], dy = nodeY_[di];
+    const int xRun = std::abs(dx - sx);
+    const int yRun = std::abs(dy - sy);
     const Tick ser = serializationTicks(pkt->sizeBytes);
-    const int bisectX = cfg_.meshX / 2; // links from column bisectX-1 <-> bisectX
 
     Tick head = now + fixedTicks_;
     Tick first_link_wait = 0;
     Tick hopTicksTotal = 0;
     Tick queueTicksTotal = 0;
-    std::uint16_t xHops = 0;
     bool first = true;
     int finalLink = -1;
-    for (int li : scratchLinks_) {
-        Link &link = links_[li];
+    auto traverse = [&](int li) {
+        Link &link = links_[static_cast<std::size_t>(li)];
         const Tick hop = hopLatency();
         const Tick uncontended = head + hop;
         head = std::max(uncontended, link.freeAt + hop);
@@ -197,55 +181,60 @@ Mesh::send(std::unique_ptr<Packet> pkt)
         finalLink = li;
         if (hooks_)
             hooks_->onHop(*pkt, li, head, waited);
-
-        // Bisection accounting: an east/west link whose endpoints straddle
-        // the vertical cut.
-        const int node = li / 4;
-        const int dir = li % 4;
-        const int x = node % cfg_.meshX;
-        if (dir == 0 || dir == 1)
-            ++xHops;
-        if ((dir == 0 && x == bisectX - 1) || (dir == 1 && x == bisectX))
-            bisectionBytes_ += pkt->sizeBytes;
+    };
+    {
+        const bool east = dx > sx;
+        const int step = east ? 4 : -4;
+        int li = pkt->src * 4 + (east ? 0 : 1);
+        for (int h = 0; h < xRun; ++h, li += step)
+            traverse(li);
     }
+    {
+        const bool north = dy > sy;
+        const int step = north ? 4 * cfg_.meshX : -4 * cfg_.meshX;
+        int li = (sy * cfg_.meshX + dx) * 4 + (north ? 2 : 3);
+        for (int h = 0; h < yRun; ++h, li += step)
+            traverse(li);
+    }
+    // Bisection accounting: the X run crosses the vertical cut between
+    // columns bisectX-1 and bisectX at most once.
+    const int bisectX = cfg_.meshX / 2;
+    if (std::min(sx, dx) < bisectX && std::max(sx, dx) >= bisectX)
+        bisectionBytes_ += pkt->sizeBytes;
+
+    const int hops = xRun + yRun;
     // Tail arrives one hop + serialization after the head enters the last
     // link; for the zero-hop (self) case just charge fixed + serialization.
-    const Tick arrive =
-        scratchLinks_.empty() ? now + fixedTicks_ + ser : head + ser;
+    const Tick arrive = hops == 0 ? now + fixedTicks_ + ser : head + ser;
 
     if (hooks_) {
         check::PacketEdgeCost cost;
         cost.src = pkt->src;
         cost.dst = pkt->dst;
         cost.bytes = pkt->sizeBytes;
-        cost.hops = static_cast<std::uint16_t>(scratchLinks_.size());
-        cost.xHops = xHops;
+        cost.hops = static_cast<std::uint16_t>(hops);
+        cost.xHops = static_cast<std::uint16_t>(xRun);
         cost.fixedTicks = fixedTicks_;
         cost.hopTicksTotal = hopTicksTotal;
         cost.serTicks = ser;
         cost.queueTicks = queueTicksTotal;
         hooks_->onPacketEdgeCost(cost);
     }
-    auto *raw = pkt.release();
     eq_.schedule(arrive,
                  EventMeta{EventTag::MeshDeliver,
-                           reinterpret_cast<std::uintptr_t>(raw),
+                           reinterpret_cast<std::uintptr_t>(pkt),
                            static_cast<std::uint64_t>(
                                static_cast<std::int64_t>(finalLink))},
-                 [this, raw, finalLink]() {
-                     deliver(std::unique_ptr<Packet>(raw), finalLink);
-                 });
+                 [this, pkt, finalLink]() { deliver(pkt, finalLink); });
     return first_link_wait;
 }
 
 void
-Mesh::deliver(std::unique_ptr<Packet> pkt, int finalLink)
+Mesh::deliver(Packet *pkt, int finalLink)
 {
-    // dst was validated by route() at injection; plain indexing here.
-    Sink &sink = sinks_[static_cast<std::size_t>(pkt->dst)];
-    if (!sink)
+    if (!sink_)
         ALEWIFE_PANIC("no sink registered for node ", pkt->dst);
-    if (sink(*pkt)) {
+    if (sink_(*pkt)) {
         ALEWIFE_TRACE_EVENT(TraceCat::Net, eq_.now(), "deliver #",
                             pkt->id, " at ", pkt->dst);
         // Accept path: everything else it touches is destination-node
@@ -254,6 +243,10 @@ Mesh::deliver(std::unique_ptr<Packet> pkt, int finalLink)
         delivered_.fetch_add(1, std::memory_order_relaxed);
         if (hooks_)
             hooks_->onPacketDelivered(*pkt);
+        // Cross-traffic drains off the mesh edge; any other packet now
+        // belongs to the receiver, which releases it after its handler.
+        if (pkt->kind == PacketKind::CrossTraffic)
+            release(pkt);
         return;
     }
     ALEWIFE_TRACE_EVENT(TraceCat::Net, eq_.now(), "reject #", pkt->id,
@@ -265,19 +258,16 @@ Mesh::deliver(std::unique_ptr<Packet> pkt, int finalLink)
         gate_->gateWait();
     ++niRejects_;
     if (finalLink >= 0) {
-        Link &link = links_[finalLink];
+        Link &link = links_[static_cast<std::size_t>(finalLink)];
         link.freeAt = std::max(link.freeAt, eq_.now() + retryTicks_);
         link.busyTicks += retryTicks_;
     }
-    auto *raw = pkt.release();
     eq_.schedule(eq_.now() + retryTicks_,
                  EventMeta{EventTag::MeshRetry,
-                           reinterpret_cast<std::uintptr_t>(raw),
+                           reinterpret_cast<std::uintptr_t>(pkt),
                            static_cast<std::uint64_t>(
                                static_cast<std::int64_t>(finalLink))},
-                 [this, raw, finalLink]() {
-                     deliver(std::unique_ptr<Packet>(raw), finalLink);
-                 });
+                 [this, pkt, finalLink]() { deliver(pkt, finalLink); });
 }
 
 double

@@ -31,7 +31,6 @@
 #include "net/packet.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
-#include "sim/small_vec.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -51,28 +50,46 @@ namespace alewife::net {
 
 /**
  * The machine interconnect.
+ *
+ * Packet ownership: take a packet with acquire(), fill it in and hand
+ * it to send(). The mesh owns it until delivery. A sink that accepts a
+ * coherence or active-message packet takes it over and gives it back
+ * with release() once its handler is done (never inside the sink call:
+ * the mesh still reads it after the sink returns). Cross-traffic drains
+ * off the mesh edge, so the mesh releases it on delivery. A rejected
+ * packet stays with the mesh.
  */
 class Mesh
 {
   public:
     /**
-     * Delivery callback: return true to accept the packet, false to make
-     * the network hold it and retry (NI queue full).
+     * Delivery callback for every node (the destination is pkt.dst):
+     * return true to accept the packet, false to make the network hold
+     * it and retry (NI queue full).
      */
     using Sink = std::function<bool(Packet &)>;
 
     Mesh(EventQueue &eq, const MachineConfig &cfg);
 
-    /** Register the delivery callback for @p node. */
-    void setSink(NodeId node, Sink sink);
+    /** Register the delivery callback. */
+    void setSink(Sink sink) { sink_ = std::move(sink); }
+
+    /** A fresh packet from this mesh's pool. */
+    Packet *acquire() { return pool_.acquire(); }
+
+    /** Give a packet back to the pool once its handler is done. */
+    void release(Packet *pkt) { pool_.release(pkt); }
+
+    /** Packets acquired and not yet released. */
+    std::size_t packetsLive() const { return pool_.live(); }
 
     /**
-     * Inject @p pkt at time now. Ownership transfers to the mesh until
-     * delivery. @p pkt.src/dst must be valid node ids.
+     * Inject @p pkt (from acquire()) at time now. The mesh owns it
+     * until delivery. pkt->src/dst must be valid node ids.
      * @return ticks the packet waited to enter its first link — the
      *         sender-side back-pressure signal (0 in ideal mode)
      */
-    Tick send(std::unique_ptr<Packet> pkt);
+    Tick send(Packet *pkt);
 
     /** Aggregate volume injected (application traffic only). */
     const VolumeBreakdown &volume() const { return volume_; }
@@ -134,7 +151,13 @@ class Mesh
      * state (link horizons, packet ids, RNGs, counters) — wait for
      * their turn in the serial event order before proceeding.
      */
-    void setOrderGate(sim::ParallelExec *gate) { gate_ = gate; }
+    void
+    setOrderGate(sim::ParallelExec *gate)
+    {
+        gate_ = gate;
+        // Packets are then also acquired and released on the workers.
+        pool_.setShared(gate != nullptr);
+    }
 
     /**
      * Scale each hop's latency by a seeded uniform factor in
@@ -145,13 +168,6 @@ class Mesh
     void setHopJitter(double frac, std::uint64_t seed);
 
     const MachineConfig &config() const { return cfg_; }
-
-    /**
-     * Route scratch type: a route is at most meshX + meshY link
-     * indices, so meshes up to 64 hops across stay in inline storage;
-     * larger ones spill once and then reuse the allocation.
-     */
-    using RouteBuf = sim::SmallVec<int, 64>;
 
     /** One unidirectional link. */
     struct Link
@@ -175,11 +191,8 @@ class Mesh
     /** Index of the unidirectional link leaving (x,y) toward (nx,ny). */
     int linkIndex(int x, int y, int nx, int ny) const;
 
-    /** Compute the XY route; fills @p links with link indices in order. */
-    void route(NodeId src, NodeId dst, RouteBuf &links) const;
-
     /** Schedule delivery (and retry-on-reject) of an arrived packet. */
-    void deliver(std::unique_ptr<Packet> pkt, int finalLink);
+    void deliver(Packet *pkt, int finalLink);
 
     /** The un-memoized serialization formula (table fill + fallback). */
     Tick serializationTicksExact(std::uint32_t bytes) const;
@@ -197,8 +210,13 @@ class Mesh
 
     EventQueue &eq_;
     const MachineConfig &cfg_;
-    std::vector<Sink> sinks_;
+    Sink sink_;
+    PacketPool pool_;
     std::vector<Link> links_;
+    /** Mesh column and row of every node (routes walk these, no
+     *  divisions on the per-packet path). */
+    std::vector<int> nodeX_;
+    std::vector<int> nodeY_;
     VolumeBreakdown volume_;
     std::uint64_t injected_ = 0;
     /** Atomic: bumped on the destination worker's accept path, which
@@ -222,7 +240,6 @@ class Mesh
     sim::ParallelExec *gate_ = nullptr;
     double jitterFrac_ = 0.0;
     Rng jitterRng_{0};
-    mutable RouteBuf scratchLinks_;
 };
 
 } // namespace alewife::net

@@ -216,7 +216,7 @@ Recorder::onBarrierEpisode(NodeId node, Tick start, Tick end)
 
 void
 Recorder::onCacheFill(NodeId node, Addr line, mem::LineState,
-                      const std::vector<std::uint64_t> &)
+                      const mem::LineWords &)
 {
     metrics_.addCounter(cCacheFills_, node);
     if (flight_)

@@ -91,7 +91,7 @@ class Recorder final : public check::Hooks
     void onHandlerRun(NodeId node, Tick start, Tick end) override;
     void onBarrierEpisode(NodeId node, Tick start, Tick end) override;
     void onCacheFill(NodeId node, Addr line, mem::LineState st,
-                     const std::vector<std::uint64_t> &words) override;
+                     const mem::LineWords &words) override;
     void onCacheInvalidate(NodeId node, Addr line,
                            bool wasModified) override;
     void onProtoSend(NodeId src, NodeId dst,

@@ -30,7 +30,7 @@ PrefetchBuffer::find(Addr line) const
 
 void
 PrefetchBuffer::install(Addr line, mem::LineState st,
-                        std::vector<std::uint64_t> words)
+                        const mem::LineWords &words)
 {
     // Reuse an existing entry for the same line, else take a free slot,
     // else FIFO-evict.
@@ -58,7 +58,7 @@ PrefetchBuffer::install(Addr line, mem::LineState st,
     target->valid = true;
     target->lineAddr = line;
     target->st = st;
-    target->words = std::move(words);
+    target->words = words;
     if (hooks_)
         hooks_->onPfbInstall(node_, line, st, target->words);
 }

@@ -41,7 +41,7 @@ class PrefetchBuffer
         bool valid = false;
         Addr lineAddr = 0;
         mem::LineState st = mem::LineState::Shared;
-        std::vector<std::uint64_t> words;
+        mem::LineWords words;
     };
 
     explicit PrefetchBuffer(int entries);
@@ -56,8 +56,7 @@ class PrefetchBuffer
      * Install a completed prefetch. Evicts the oldest entry if full
      * (FIFO). Clean data only — the buffer never holds dirty words.
      */
-    void install(Addr line, mem::LineState st,
-                 std::vector<std::uint64_t> words);
+    void install(Addr line, mem::LineState st, const mem::LineWords &words);
 
     /** Remove and return the entry for @p line (demand consumption). */
     std::optional<Entry> take(Addr line);

@@ -67,8 +67,10 @@ namespace alewife {
 
 /**
  * Inline capture capacity of an event callback, in bytes. Sized so the
- * largest hot-path capture — a coherence lambda holding a ProtoMsg by
- * value — stays inline (coherence.cc asserts this at compile time).
+ * largest hot-path capture — a local coherence grant holding a line's
+ * words (mem::LineWords) by value — stays inline (coherence.cc asserts
+ * this at compile time). Protocol and network events capture a pooled
+ * net::Packet pointer instead of a message.
  */
 inline constexpr std::size_t kEventCallbackBytes = 104;
 

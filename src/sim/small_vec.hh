@@ -2,16 +2,17 @@
  * @file
  * SmallVec: a vector with inline storage for the common small case.
  *
- * The mesh hot path builds one route (≤ meshX + meshY link indices) per
- * packet; a std::vector would heap-allocate for every packet until its
- * capacity stabilizes and again after any move. SmallVec keeps up to N
- * elements in the object itself and only spills to the heap for larger
- * meshes — and once spilled, clear() keeps the allocation, so a
- * long-lived scratch SmallVec never allocates in steady state.
+ * A directory entry's sharer list is short on every machine the paper
+ * models, but a std::vector would still heap-allocate for each line
+ * that gains a sharer. SmallVec keeps up to N elements in the object
+ * itself and only spills to the heap beyond that — and once spilled,
+ * clear() keeps the allocation, so a long-lived SmallVec never
+ * allocates in steady state.
  *
  * Only what the simulator needs is implemented: trivially-copyable
- * element types, push_back/clear/indexing/iteration. Not copyable or
- * movable — it exists as a long-lived scratch buffer, not a value type.
+ * element types, push_back/clear/indexing/iteration. Not
+ * copyable or movable — it lives in place (here, inside a directory
+ * entry in a slab), not as a value type.
  */
 
 #ifndef ALEWIFE_SIM_SMALL_VEC_HH

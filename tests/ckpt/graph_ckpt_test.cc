@@ -11,6 +11,7 @@
 
 #include <filesystem>
 #include <functional>
+#include <ostream>
 
 #include "apps/graph/catalog.hh"
 #include "ckpt/ckpt.hh"
@@ -63,6 +64,15 @@ struct GoldenCase
     const char *app;
     Mechanism mech;
 };
+
+/** Names the case in gtest's listing, which becomes the ctest test
+ *  name. The default raw-byte dump would print the app pointer, which
+ *  moves with address-space randomization on every run. */
+void
+PrintTo(const GoldenCase &c, std::ostream *os)
+{
+    *os << c.app << '/' << core::mechanismShortName(c.mech);
+}
 
 class GraphResumeGolden : public ::testing::TestWithParam<GoldenCase>
 {

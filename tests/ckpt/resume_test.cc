@@ -11,6 +11,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 
 #include "apps/em3d.hh"
 #include "apps/iccg.hh"
@@ -71,6 +72,15 @@ struct GoldenCase
     const char *app;
     Mechanism mech;
 };
+
+/** Names the case in gtest's listing, which becomes the ctest test
+ *  name. The default raw-byte dump would print the app pointer, which
+ *  moves with address-space randomization on every run. */
+void
+PrintTo(const GoldenCase &c, std::ostream *os)
+{
+    *os << c.app << '/' << core::mechanismShortName(c.mech);
+}
 
 class ResumeGolden : public ::testing::TestWithParam<GoldenCase>
 {

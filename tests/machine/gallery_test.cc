@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "machine/gallery.hh"
+#include "msg/am_header.hh"
 
 namespace alewife {
 namespace {
@@ -75,6 +76,23 @@ TEST(Config, ValidationCatchesBadSetups)
     MachineConfig c3;
     c3.cacheBytes = 1000; // not a multiple of 16
     EXPECT_DEATH(c3.validate(), "cacheBytes");
+
+    // A multiple of 8 that is not a power of two (line masks assume
+    // one), even where the cache size divides evenly.
+    MachineConfig c4;
+    c4.lineBytes = 24;
+    c4.cacheBytes = 48 * 1024;
+    EXPECT_DEATH(c4.validate(), "lineBytes");
+
+    // Larger than the inline line storage (mem::LineWords).
+    MachineConfig c5;
+    c5.lineBytes = 128;
+    EXPECT_DEATH(c5.validate(), "lineBytes");
+
+    // More argument words than an active message carries inline.
+    MachineConfig c6;
+    c6.amMaxWords = 2 * static_cast<int>(msg::kAmMaxArgs) + 2;
+    EXPECT_DEATH(c6.validate(), "amMaxWords");
 }
 
 TEST(Config, DerivedQuantities)

@@ -15,10 +15,13 @@
 namespace alewife::mem {
 namespace {
 
-std::vector<std::uint64_t>
+LineWords
 words(std::uint64_t a, std::uint64_t b)
 {
-    return {a, b};
+    LineWords w;
+    w.push_back(a);
+    w.push_back(b);
+    return w;
 }
 
 TEST(Cache, FillThenReadBack)
@@ -117,6 +120,71 @@ TEST(Cache, UpgradeMakesModified)
     EXPECT_EQ(c.state(0x100), LineState::Modified);
     c.writeWord(0x100, 9);
     EXPECT_EQ(c.readWord(0x100), 9u);
+}
+
+/** Cache unit tests at every line size a machine may be built with. */
+class CacheLineSize : public ::testing::TestWithParam<std::uint32_t>
+{
+  protected:
+    /** Distinct words for line @p line (so mixing lines up shows). */
+    LineWords
+    pattern(Addr line) const
+    {
+        LineWords w;
+        for (std::uint32_t i = 0; i < GetParam() / 8; ++i)
+            w.push_back(line * 100 + i);
+        return w;
+    }
+};
+
+TEST_P(CacheLineSize, FillEvictInvalidateDowngradeRoundTrip)
+{
+    const std::uint32_t lb = GetParam();
+    Cache c(4 * lb, lb); // 4 sets
+    const Addr a = 2 * lb;
+    const Addr b = a + 4 * lb; // same set as a
+
+    // Fill and read back every word.
+    c.fill(a, LineState::Modified, pattern(a));
+    for (std::uint32_t i = 0; i < lb / 8; ++i)
+        EXPECT_EQ(c.readWord(a + 8 * i), a * 100 + i);
+    EXPECT_EQ(c.lineWords(a + lb - 8), pattern(a));
+
+    // Write the last word, then a conflicting fill evicts it dirty.
+    c.writeWord(a + lb - 8, 7);
+    LineWords dirty = pattern(a);
+    dirty[lb / 8 - 1] = 7;
+    auto victim = c.fill(b, LineState::Modified, pattern(b));
+    ASSERT_TRUE(victim.has_value());
+    EXPECT_EQ(victim->lineAddr, a);
+    EXPECT_EQ(victim->words, dirty);
+    EXPECT_FALSE(c.contains(a));
+
+    // Downgrade hands back the words and keeps the line readable.
+    auto down = c.downgrade(b + 8);
+    ASSERT_TRUE(down.has_value());
+    EXPECT_EQ(*down, pattern(b));
+    EXPECT_EQ(c.state(b), LineState::Shared);
+    EXPECT_EQ(c.readWord(b + lb - 8), b * 100 + lb / 8 - 1);
+
+    // A Modified line invalidates with its words; a Shared one without.
+    c.upgrade(b);
+    auto inv = c.invalidate(b);
+    ASSERT_TRUE(inv.has_value());
+    EXPECT_EQ(*inv, pattern(b));
+    EXPECT_FALSE(c.contains(b));
+    c.fill(a, LineState::Shared, pattern(a));
+    EXPECT_FALSE(c.invalidate(a).has_value());
+    EXPECT_FALSE(c.contains(a));
+}
+
+INSTANTIATE_TEST_SUITE_P(LineBytes, CacheLineSize,
+                         ::testing::Values(16u, 32u, 64u));
+
+TEST(CacheDeath, LineSizeMustFitLineWords)
+{
+    EXPECT_DEATH(Cache(4096, 128), "power of two");
+    EXPECT_DEATH(Cache(4096, 24), "power of two");
 }
 
 TEST(Cache, RefillSameLineOverwrites)

@@ -133,7 +133,7 @@ TEST(ActiveMessages, BulkBodyArrivesAndPaddingCounted)
         std::vector<std::uint64_t> body;
     } bk;
     bk.h = m.handlers().add([&bk](msg::HandlerEnv &env) {
-        bk.body = env.msg().body;
+        bk.body.assign(env.msg().body.begin(), env.msg().body.end());
     });
     auto prog = [&bk](Ctx &ctx) -> sim::Thread {
         if (ctx.self() == 0) {

@@ -24,8 +24,7 @@ TEST(CrossTraffic, InjectsAtConfiguredRate)
     EventQueue eq;
     MachineConfig c = testConfig();
     Mesh mesh(eq, c);
-    for (int i = 0; i < c.nodes(); ++i)
-        mesh.setSink(i, [](Packet &) { return true; });
+    mesh.setSink([](Packet &) { return true; });
 
     CrossTrafficConfig cc;
     cc.bytesPerCycle = 8.0;
@@ -48,8 +47,7 @@ TEST(CrossTraffic, AllTrafficCrossesBisection)
     EventQueue eq;
     MachineConfig c = testConfig();
     Mesh mesh(eq, c);
-    for (int i = 0; i < c.nodes(); ++i)
-        mesh.setSink(i, [](Packet &) { return true; });
+    mesh.setSink([](Packet &) { return true; });
 
     CrossTrafficConfig cc;
     cc.bytesPerCycle = 4.0;
@@ -92,8 +90,7 @@ TEST(CrossTraffic, StopHaltsInjection)
     EventQueue eq;
     MachineConfig c = testConfig();
     Mesh mesh(eq, c);
-    for (int i = 0; i < c.nodes(); ++i)
-        mesh.setSink(i, [](Packet &) { return true; });
+    mesh.setSink([](Packet &) { return true; });
     CrossTrafficConfig cc;
     cc.bytesPerCycle = 8.0;
     CrossTraffic ct(eq, mesh, cc);

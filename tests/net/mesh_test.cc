@@ -20,10 +20,10 @@ testConfig()
     return c;
 }
 
-std::unique_ptr<Packet>
-makePkt(NodeId src, NodeId dst, std::uint32_t bytes)
+Packet *
+makePkt(Mesh &mesh, NodeId src, NodeId dst, std::uint32_t bytes)
 {
-    auto p = std::make_unique<Packet>();
+    Packet *p = mesh.acquire();
     p->src = src;
     p->dst = dst;
     p->kind = PacketKind::CrossTraffic;
@@ -48,9 +48,8 @@ TEST(Mesh, DeliversToSink)
     MachineConfig c = testConfig();
     Mesh mesh(eq, c);
     int got = 0;
-    for (int i = 0; i < c.nodes(); ++i)
-        mesh.setSink(i, [&](Packet &) { return ++got, true; });
-    mesh.send(makePkt(0, 5, 24));
+    mesh.setSink([&](Packet &) { return ++got, true; });
+    mesh.send(makePkt(mesh, 0, 5, 24));
     eq.run();
     EXPECT_EQ(got, 1);
     EXPECT_EQ(mesh.packetsDelivered(), 1u);
@@ -62,10 +61,9 @@ TEST(Mesh, LatencyMatchesModel)
     MachineConfig c = testConfig();
     Mesh mesh(eq, c);
     Tick arrival = 0;
-    for (int i = 0; i < c.nodes(); ++i)
-        mesh.setSink(i, [&](Packet &) { return arrival = eq.now(), true; });
+    mesh.setSink([&](Packet &) { return arrival = eq.now(), true; });
     const int hops = mesh.hopCount(0, 5);
-    mesh.send(makePkt(0, 5, 24));
+    mesh.send(makePkt(mesh, 0, 5, 24));
     eq.run();
     const double expect = c.netFixedCycles() + hops * c.hopCycles()
                           + 24.0 / c.linkBytesPerCycle();
@@ -78,14 +76,13 @@ TEST(Mesh, ContentionDelaysSecondPacket)
     MachineConfig c = testConfig();
     Mesh mesh(eq, c);
     std::vector<Tick> arrivals;
-    for (int i = 0; i < c.nodes(); ++i)
-        mesh.setSink(i, [&](Packet &) {
-            arrivals.push_back(eq.now());
-            return true;
-        });
+    mesh.setSink([&](Packet &) {
+        arrivals.push_back(eq.now());
+        return true;
+    });
     // Two large packets on the same route back to back.
-    mesh.send(makePkt(0, 7, 512));
-    mesh.send(makePkt(0, 7, 512));
+    mesh.send(makePkt(mesh, 0, 7, 512));
+    mesh.send(makePkt(mesh, 0, 7, 512));
     eq.run();
     ASSERT_EQ(arrivals.size(), 2u);
     const Tick gap = arrivals[1] - arrivals[0];
@@ -99,13 +96,12 @@ TEST(Mesh, DisjointRoutesDoNotInterfere)
     MachineConfig c = testConfig();
     Mesh mesh(eq, c);
     std::vector<Tick> arrivals(c.nodes(), 0);
-    for (int i = 0; i < c.nodes(); ++i)
-        mesh.setSink(i, [&, i](Packet &) {
-            arrivals[i] = eq.now();
-            return true;
-        });
-    mesh.send(makePkt(0, 1, 512));  // row 0
-    mesh.send(makePkt(8, 9, 512));  // row 1 — different links
+    mesh.setSink([&](Packet &p) {
+        arrivals[static_cast<std::size_t>(p.dst)] = eq.now();
+        return true;
+    });
+    mesh.send(makePkt(mesh, 0, 1, 512));  // row 0
+    mesh.send(makePkt(mesh, 8, 9, 512));  // row 1 — different links
     eq.run();
     EXPECT_EQ(arrivals[1], arrivals[9]);
 }
@@ -116,9 +112,8 @@ TEST(Mesh, RejectedDeliveryRetries)
     MachineConfig c = testConfig();
     Mesh mesh(eq, c);
     int attempts = 0;
-    for (int i = 0; i < c.nodes(); ++i)
-        mesh.setSink(i, [&](Packet &) { return ++attempts >= 3; });
-    mesh.send(makePkt(0, 2, 24));
+    mesh.setSink([&](Packet &) { return ++attempts >= 3; });
+    mesh.send(makePkt(mesh, 0, 2, 24));
     eq.run();
     EXPECT_EQ(attempts, 3);
     EXPECT_EQ(mesh.niRejects(), 2u);
@@ -133,13 +128,12 @@ TEST(Mesh, IdealModeUsesUniformLatency)
     c.idealNetLatencyCycles = 100.0;
     Mesh mesh(eq, c);
     std::vector<Tick> arrivals;
-    for (int i = 0; i < c.nodes(); ++i)
-        mesh.setSink(i, [&](Packet &) {
-            arrivals.push_back(eq.now());
-            return true;
-        });
-    mesh.send(makePkt(0, 1, 8));     // 1 hop
-    mesh.send(makePkt(0, 31, 4096)); // 10 hops, huge
+    mesh.setSink([&](Packet &) {
+        arrivals.push_back(eq.now());
+        return true;
+    });
+    mesh.send(makePkt(mesh, 0, 1, 8));     // 1 hop
+    mesh.send(makePkt(mesh, 0, 31, 4096)); // 10 hops, huge
     eq.run();
     ASSERT_EQ(arrivals.size(), 2u);
     EXPECT_EQ(arrivals[0], arrivals[1]);
@@ -151,15 +145,14 @@ TEST(Mesh, VolumeAccountingByCategory)
     EventQueue eq;
     MachineConfig c = testConfig();
     Mesh mesh(eq, c);
-    for (int i = 0; i < c.nodes(); ++i)
-        mesh.setSink(i, [](Packet &) { return true; });
-    auto p = std::make_unique<Packet>();
+    mesh.setSink([](Packet &) { return true; });
+    Packet *p = mesh.acquire();
     p->src = 0;
     p->dst = 3;
     p->kind = PacketKind::Coherence;
     p->addBytes(VolCat::Headers, 8);
     p->addBytes(VolCat::Data, 16);
-    mesh.send(std::move(p));
+    mesh.send(p);
     eq.run();
     EXPECT_EQ(mesh.volume().get(VolCat::Headers), 8u);
     EXPECT_EQ(mesh.volume().get(VolCat::Data), 16u);
@@ -171,11 +164,10 @@ TEST(Mesh, CrossTrafficExcludedFromVolume)
     EventQueue eq;
     MachineConfig c = testConfig();
     Mesh mesh(eq, c);
-    for (int i = 0; i < c.nodes(); ++i)
-        mesh.setSink(i, [](Packet &) { return true; });
-    auto p = makePkt(0, 3, 64);
+    mesh.setSink([](Packet &) { return true; });
+    auto p = makePkt(mesh, 0, 3, 64);
     p->countInVolume = false;
-    mesh.send(std::move(p));
+    mesh.send(p);
     eq.run();
     EXPECT_EQ(mesh.volume().total(), 0u);
 }
@@ -185,10 +177,9 @@ TEST(Mesh, BisectionBytesTracked)
     EventQueue eq;
     MachineConfig c = testConfig();
     Mesh mesh(eq, c);
-    for (int i = 0; i < c.nodes(); ++i)
-        mesh.setSink(i, [](Packet &) { return true; });
-    mesh.send(makePkt(0, 7, 100));  // crosses the vertical cut
-    mesh.send(makePkt(0, 1, 100));  // does not
+    mesh.setSink([](Packet &) { return true; });
+    mesh.send(makePkt(mesh, 0, 7, 100));  // crosses the vertical cut
+    mesh.send(makePkt(mesh, 0, 1, 100));  // does not
     eq.run();
     EXPECT_EQ(mesh.bisectionBytes(), 100u);
 }
@@ -199,14 +190,13 @@ TEST(Mesh, SameSourceDestinationPairStaysOrdered)
     MachineConfig c = testConfig();
     Mesh mesh(eq, c);
     std::vector<int> order;
-    for (int i = 0; i < c.nodes(); ++i)
-        mesh.setSink(i, [&](Packet &p) {
-            order.push_back(static_cast<int>(p.sizeBytes));
-            return true;
-        });
+    mesh.setSink([&](Packet &p) {
+        order.push_back(static_cast<int>(p.sizeBytes));
+        return true;
+    });
     // Different sizes would reorder in a latency-only model.
-    mesh.send(makePkt(0, 7, 1024));
-    mesh.send(makePkt(0, 7, 8));
+    mesh.send(makePkt(mesh, 0, 7, 1024));
+    mesh.send(makePkt(mesh, 0, 7, 8));
     eq.run();
     ASSERT_EQ(order.size(), 2u);
     EXPECT_EQ(order[0], 1024);
